@@ -15,21 +15,13 @@ Public surface:
 - :mod:`repro.analysis.cardinality` — interval-domain abstract
   interpretation of tuple counts (:class:`CardinalityAnalyzer`,
   :class:`Interval`), behind the A5xx lint rules
-- :mod:`repro.analysis.prune` — candidate vetoes (:class:`CandidateFilter`,
-  :func:`pruning`, :func:`pruning_enabled`)
+- :mod:`repro.analysis.prune` — candidate vetoes (:class:`CandidateFilter`)
 - :mod:`repro.analysis.canon` — semantic candidate canonicalization for
-  oracle dedup (:func:`canonical_key`, :func:`canonicalizing`,
-  :func:`canonical_enabled`) and the shard-scoped cross-tool oracle cache
-  (:func:`verdict_sharing`)
+  oracle dedup (:func:`canonical_key`) and the shard-scoped cross-tool
+  oracle cache (:func:`verdict_sharing`)
 """
 
-from repro.analysis.canon import (
-    canonical_enabled,
-    canonical_key,
-    canonical_text,
-    canonicalizing,
-    verdict_sharing,
-)
+from repro.analysis.canon import canonical_key, canonical_text, verdict_sharing
 from repro.analysis.cardinality import (
     CardinalityAnalyzer,
     Interval,
@@ -50,7 +42,7 @@ from repro.analysis.lint import (
     lint_source,
     render_diagnostics,
 )
-from repro.analysis.prune import CandidateFilter, pruning, pruning_enabled
+from repro.analysis.prune import CandidateFilter
 from repro.analysis.reltypes import (
     INT_TYPE,
     RelType,
@@ -77,10 +69,8 @@ __all__ = [
     "all_rules",
     "backward_slice",
     "build_depgraph",
-    "canonical_enabled",
     "canonical_key",
     "canonical_text",
-    "canonicalizing",
     "cardinality_analyzer",
     "check_module",
     "empty_type",
@@ -88,8 +78,6 @@ __all__ = [
     "inferencer_for",
     "lint_module",
     "lint_source",
-    "pruning",
-    "pruning_enabled",
     "render_diagnostics",
     "rule_by_name",
     "slice_for",

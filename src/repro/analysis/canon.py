@@ -20,16 +20,13 @@ The normal form is a deterministic s-expression rendering with:
 
 Every rewrite preserves semantics in *all* instances at all scopes, so
 canonically-equal candidates are guaranteed to receive identical oracle
-verdicts — the property the dedup cache and its CI byte-equality gate
+verdicts — the property the dedup cache and its byte-equality tests
 depend on.  Canonicalization failures degrade to the exact printed text,
 which still deduplicates syntactic duplicates.
 
-The ambient :func:`canonicalizing` switch mirrors
-:func:`repro.analysis.prune.pruning`: the experiment engine threads one
-``--no-canon`` bit through every executor without touching tool
-signatures.  Like ``--no-incremental`` (and unlike ``--no-static-prune``),
-the bit is excluded from result cache keys because it cannot change
-outcomes, only the work needed to reach them.
+Dedup is always on outside chaos scopes.  It cannot change outcomes, only
+the work needed to reach them; the tests pin that by comparing whole
+matrices against an arm that solves every candidate.
 """
 
 from __future__ import annotations
@@ -94,22 +91,6 @@ EMPTY = "∅"
 _FLIPPED = {CmpOp.GT: CmpOp.LT, CmpOp.GTE: CmpOp.LTE}
 
 
-def canonical_enabled() -> bool:
-    """Whether semantic candidate dedup is active on this thread."""
-    return getattr(_STATE, "enabled", True)
-
-
-@contextmanager
-def canonicalizing(enabled: bool) -> Iterator[None]:
-    """Ambiently enable/disable semantic dedup for the current thread."""
-    previous = canonical_enabled()
-    _STATE.enabled = enabled
-    try:
-        yield
-    finally:
-        _STATE.enabled = previous
-
-
 def shared_verdicts() -> dict | None:
     """The shard-scoped oracle cache, when :func:`verdict_sharing` is active.
 
@@ -135,9 +116,8 @@ def verdict_sharing() -> Iterator[None]:
     depend on the encoding, so only syntactic identity may share them).
 
     The scope is per-shard (one spec), so the cache's lifetime bounds its
-    size, and it is thread-local like the :func:`canonicalizing` switch it
-    extends: lookups happen only while canonicalization is enabled and no
-    chaos scope is active.
+    size.  It is thread-local, and lookups happen only while no chaos
+    scope is active.
     """
     previous = getattr(_STATE, "shared_verdicts", None)
     _STATE.shared_verdicts = {}

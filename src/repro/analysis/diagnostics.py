@@ -17,7 +17,7 @@ candidate is an infeasible specification — one the search gains nothing
 by solving.  Dead-construct and tautology findings (A2xx/A3xx) do not
 qualify: a repair can contain a dead join or a vacuous quantifier in one
 paragraph and still meet every command's expectation, so vetoing on them
-can discard the very candidate the unpruned search would select.
+could discard the very candidate an unfiltered search would select.
 """
 
 from __future__ import annotations
@@ -82,10 +82,8 @@ class Rule:
     translation/solving.  The contract is semantic, not stylistic: the
     finding must witness infeasibility of the candidate as a whole (a
     fact set with no instances, a relation that can never hold a tuple),
-    so the veto cannot change which candidate a search selects — the
-    invariant the ``--no-static-prune`` ablation's byte-identical
-    matrices depend on.  Style and dead-code findings stay reportable
-    but never prune."""
+    so the veto cannot change which candidate a search selects.  Style and
+    dead-code findings stay reportable but never prune."""
 
 
 @dataclass(frozen=True)

@@ -10,53 +10,30 @@ pruning-eligible rules (:attr:`~repro.analysis.diagnostics.Rule.prunes`,
 the A5xx cardinality family).  Merely *dead* constructs (A2xx/A3xx: empty
 joins, vacuous quantifiers, tautologies) are reported but never veto — a
 passing repair can carry one in an unrelated paragraph, and vetoing it
-would change which candidate the search selects, breaking the
-byte-identical-matrix contract of the ``--no-static-prune`` ablation.
+could discard the very candidate an unfiltered search would select.
 
 The diff is keyed on :meth:`Diagnostic.key`, which ignores source positions:
 mutations shift line numbers without changing meanings, and pre-existing
 findings in the faulty spec must never veto its own repair.
 
-Pruning is on by default and disabled ambiently via :func:`pruning`
-(a context manager) so the experiment engine can thread a single
-``--no-static-prune`` bit through serial, thread, and process executors
-without touching every tool signature.
+ARepair, BeAFix and ATR always build a filter.  Fault injection and the
+mock LLM build their :class:`~repro.repair.mutation.Mutator` without one.
 """
 
 from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from contextlib import contextmanager
-from typing import Iterator
 
 from repro.alloy.nodes import Module
 from repro.alloy.resolver import ModuleInfo, resolve_module
 from repro.analysis.diagnostics import Diagnostic
 from repro.analysis.lint import lint_module
 
-_STATE = threading.local()
-
 _BASELINE_MEMO = threading.local()
 
 _BASELINE_MEMO_LIMIT = 256
 """Cap on the per-thread baseline memo (entries pin module ASTs)."""
-
-
-def pruning_enabled() -> bool:
-    """Whether candidate-level static pruning is active on this thread."""
-    return getattr(_STATE, "enabled", True)
-
-
-@contextmanager
-def pruning(enabled: bool) -> Iterator[None]:
-    """Ambiently enable/disable static pruning for the current thread."""
-    previous = pruning_enabled()
-    _STATE.enabled = enabled
-    try:
-        yield
-    finally:
-        _STATE.enabled = previous
 
 
 class CandidateFilter:
@@ -82,13 +59,10 @@ class CandidateFilter:
     ) -> Diagnostic | None:
         """The first *new* prunable finding in ``candidate``, else ``None``.
 
-        Respects the ambient :func:`pruning` switch: when disabled, every
-        candidate passes.  Lint failures never veto — a candidate the lint
-        engine cannot process falls through to the dynamic pipeline, which
-        is the layer equipped to report it.
+        Lint failures never veto — a candidate the lint engine cannot
+        process falls through to the dynamic pipeline, which is the layer
+        equipped to report it.
         """
-        if not pruning_enabled():
-            return None
         try:
             findings = lint_module(candidate, info)
         except Exception:

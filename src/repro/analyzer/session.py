@@ -28,22 +28,17 @@ Candidates whose signature declarations differ from the base module (e.g.
 field-multiplicity mutants) cannot share the structural encoding; for those
 ``evaluate`` returns ``None`` and the caller falls back to the from-scratch
 path.  The session answers *verdict-only* queries (satisfiability per
-command); anything that needs instances keeps using the Analyzer, so repair
-outcomes are bit-identical with the session on or off.
-
-Incremental solving is on by default and disabled ambiently via
-:func:`incremental` (a context manager) so the experiment engine can thread a
-single ``--no-incremental`` bit through serial, thread, and process executors
-without touching every tool signature.
+command); anything that needs instances keeps using the Analyzer.  Every
+verdict-only oracle query goes through a session; the tests pin that repair
+outcomes are bit-identical to an arm that solves every candidate from
+scratch.
 """
 
 from __future__ import annotations
 
 import hashlib
-import threading
 import time
-from contextlib import contextmanager
-from typing import Callable, Iterator
+from typing import Callable
 
 from repro import chaos, obs
 from repro.alloy.errors import AlloyError, AnalysisBudgetError, EvaluationError
@@ -67,8 +62,6 @@ from repro.analyzer.universe import Bounds
 from repro.sat.circuit import CircuitBuilder
 from repro.sat.solver import BudgetExceeded, SolveSession
 
-_STATE = threading.local()
-
 _REBUILD_CLAUSE_LIMIT = 500_000
 """Safety valve: a scope session whose clause database (fragments plus
 learned clauses) outgrows this is torn down and rebuilt from the static
@@ -82,22 +75,6 @@ rather than to the whole candidate stream."""
 _MEMO_LIMIT = 100_000
 """Cap on the identity-keyed print/name memos (they pin candidate AST nodes
 alive); exceeding it clears them, trading reuse for bounded memory."""
-
-
-def incremental_enabled() -> bool:
-    """Whether incremental candidate solving is active on this thread."""
-    return getattr(_STATE, "enabled", True)
-
-
-@contextmanager
-def incremental(enabled: bool) -> Iterator[None]:
-    """Ambiently enable/disable incremental solving for the current thread."""
-    previous = incremental_enabled()
-    _STATE.enabled = enabled
-    try:
-        yield
-    finally:
-        _STATE.enabled = previous
 
 
 _Fragment = tuple[bytes, Callable[[], Formula]]

@@ -179,30 +179,6 @@ def _add_experiment_args(parser: argparse.ArgumentParser) -> None:
         help="print a one-line timing summary for every completed shard",
     )
     parser.add_argument(
-        "--no-static-prune",
-        action="store_true",
-        help="disable the static type-based pruning of repair candidates "
-        "(the ablation arm; pruned counts appear in `repro profile` as "
-        "analysis.pruned_typed)",
-    )
-    parser.add_argument(
-        "--no-incremental",
-        action="store_true",
-        help="evaluate every repair candidate from scratch instead of "
-        "through the shared incremental solve session (the ablation arm; "
-        "outcomes are bit-identical either way, only slower — compare "
-        "repair.candidates/s in `repro profile`)",
-    )
-    parser.add_argument(
-        "--no-canon",
-        action="store_true",
-        help="disable semantic candidate deduplication (the ablation arm; "
-        "every candidate reaches the solver instead of replaying the "
-        "cached verdict of its canonical equivalence class — outcomes are "
-        "byte-identical either way, compare analysis.dedup_hits in "
-        "`repro profile`)",
-    )
-    parser.add_argument(
         "--shard-timeout",
         type=_timeout_arg,
         default=None,
@@ -257,23 +233,6 @@ def build_parser() -> argparse.ArgumentParser:
         "Single-Round_<setting>, Multi-Round_<feedback>, Dynamic",
     )
     repair.add_argument("--seed", type=int, default=0)
-    repair.add_argument(
-        "--no-static-prune",
-        action="store_true",
-        help="disable static type-based pruning of repair candidates",
-    )
-    repair.add_argument(
-        "--no-incremental",
-        action="store_true",
-        help="evaluate candidates from scratch instead of through the "
-        "shared incremental solve session",
-    )
-    repair.add_argument(
-        "--no-canon",
-        action="store_true",
-        help="disable semantic candidate deduplication (solve every "
-        "candidate instead of replaying canonical-class verdicts)",
-    )
 
     lint = sub.add_parser(
         "lint",
@@ -448,22 +407,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="do not persist completed cells to the incremental result "
         "store (disables restart resume of finished work)",
-    )
-    serve.add_argument(
-        "--no-static-prune",
-        action="store_true",
-        help="disable static type-based pruning in job executions",
-    )
-    serve.add_argument(
-        "--no-incremental",
-        action="store_true",
-        help="evaluate candidates from scratch in job executions instead "
-        "of through the shared incremental solve session",
-    )
-    serve.add_argument(
-        "--no-canon",
-        action="store_true",
-        help="disable semantic candidate deduplication in job executions",
     )
     serve.add_argument(
         "--cluster-dir",
@@ -732,14 +675,11 @@ def _cmd_repair(args) -> int:
     except ValueError:
         print(f"unknown technique {technique!r}", file=sys.stderr)
         return 2
-    from repro.analysis import canonicalizing, pruning, verdict_sharing
-    from repro.analyzer.session import incremental
+    from repro.analysis import verdict_sharing
 
     # verdict_sharing lets composite techniques (ICEBAR, the selector)
     # replay evidence and verdicts across their inner tools' oracles.
-    with pruning(not args.no_static_prune), incremental(
-        not args.no_incremental
-    ), canonicalizing(not args.no_canon), verdict_sharing():
+    with verdict_sharing():
         result = tool.repair(task)
     print(f"status: {result.status.value} ({result.detail})")
     if result.candidate_source:
@@ -763,9 +703,6 @@ def _matrices(args):
         use_cache=not args.no_cache,
         fail_fast=fail_fast,
         listener=listener,
-        static_prune=not getattr(args, "no_static_prune", False),
-        incremental=not getattr(args, "no_incremental", False),
-        canonical=not getattr(args, "no_canon", False),
         shard_timeout=getattr(args, "shard_timeout", None),
         schedule=getattr(args, "schedule", "fifo"),
     )
@@ -822,9 +759,6 @@ def _cmd_experiment(args) -> int:
             trace=args.trace,
             trace_out=args.trace_out,
             verbose=args.verbose,
-            static_prune=not args.no_static_prune,
-            incremental=not args.no_incremental,
-            canonical=not args.no_canon,
             shard_timeout=args.shard_timeout,
             schedule=args.schedule,
         )
@@ -1055,9 +989,6 @@ def _service_config(args):
         job_timeout=job_timeout,
         state_path=args.state,
         use_store=not args.no_store,
-        static_prune=not args.no_static_prune,
-        incremental=not args.no_incremental,
-        canonical=not args.no_canon,
         chaos=_load_chaos_plan(args.chaos_plan),
         cluster_dir=args.cluster_dir,
         replica_id=args.replica_id,

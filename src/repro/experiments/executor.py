@@ -66,10 +66,6 @@ class ShardTask:
     trace: bool = False
     """Capture spans/metrics for this shard's cells.  Never affects the
     outcomes — only whether the result carries telemetry payloads."""
-    static_prune: bool = True
-    """Whether the repair tools may veto statically dead candidates.
-    Installed ambiently (:func:`repro.analysis.prune.pruning`) around the
-    shard so the bit crosses thread and process boundaries with the task."""
     shard_timeout: float | None = None
     """Wall-clock seconds this shard may spend before its remaining cells
     are abandoned with a ``shard.timeout`` failure.  Enforced cooperatively
@@ -77,20 +73,10 @@ class ShardTask:
     the :class:`ProcessExecutor` watchdog for shards that stop cooperating
     entirely."""
     chaos: FaultPlan | None = None
-    """Fault-injection plan, installed around the shard.  Like
-    ``static_prune``, riding on the task is what carries the plan across
-    thread and process boundaries; trigger counters restart at zero per
-    shard, so the fault schedule a spec sees is executor-independent."""
-    incremental: bool = True
-    """Whether repair tools evaluate candidates through the shared
-    incremental solve session (:mod:`repro.analyzer.session`).  Installed
-    ambiently around the shard like ``static_prune``; never affects
-    outcomes — only how long cells take."""
-    canonical: bool = True
-    """Whether the oracle deduplicates semantically equivalent candidates
-    by canonical form (:mod:`repro.analysis.canon`).  Installed ambiently
-    around the shard like ``incremental``; never affects outcomes — only
-    how many verdicts reach the solver."""
+    """Fault-injection plan, installed around the shard.  Riding on the
+    task is what carries the plan across thread and process boundaries;
+    trigger counters restart at zero per shard, so the fault schedule a
+    spec sees is executor-independent."""
 
 
 @dataclass
@@ -125,17 +111,12 @@ def execute_shard(task: ShardTask) -> ShardResult:
     for the duration (thread-local, so pool threads never interleave) and
     the result carries the spans and metric snapshot.
     """
-    from repro.analysis.canon import canonicalizing, verdict_sharing
-    from repro.analysis.prune import pruning
-    from repro.analyzer.session import incremental
+    from repro.analysis.canon import verdict_sharing
 
     # verdict_sharing: one oracle cache for all of this shard's techniques
     # (same spec, same commands) — BeAFix's evidence and verdicts replay
-    # for ATR and any inner tools.  Lookups are gated on the canonical
-    # switch, so installing it unconditionally keeps --no-canon inert.
-    with pruning(task.static_prune), incremental(
-        task.incremental
-    ), canonicalizing(task.canonical), verdict_sharing(), chaos.install(
+    # for ATR and any inner tools.
+    with verdict_sharing(), chaos.install(
         task.chaos, salt=task.spec.spec_id
     ) as scope:
         if not task.trace:

@@ -51,9 +51,6 @@ def generate_report(
     trace: bool = False,
     trace_out: str | None = None,
     verbose: bool = False,
-    static_prune: bool = True,
-    incremental: bool = True,
-    canonical: bool = True,
     shard_timeout: float | None = None,
     schedule: str = "fifo",
 ) -> StudyReport:
@@ -72,8 +69,6 @@ def generate_report(
             fail_fast=fail_fast, jobs=jobs, executor=executor,
             listener=listener, trace=trace,
             trace_out=derive_trace_out(trace_out, trace, "arepair", seed),
-            static_prune=static_prune, incremental=incremental,
-            canonical=canonical,
             shard_timeout=shard_timeout, schedule=schedule,
         )
     )
@@ -83,8 +78,6 @@ def generate_report(
             fail_fast=fail_fast, jobs=jobs, executor=executor,
             listener=listener, trace=trace,
             trace_out=derive_trace_out(trace_out, trace, "alloy4fun", seed),
-            static_prune=static_prune, incremental=incremental,
-            canonical=canonical,
             shard_timeout=shard_timeout, schedule=schedule,
         )
     )

@@ -95,25 +95,6 @@ class RunConfig:
     trace_out: str | None = None
     """Trace file destination (implies ``trace``); default
     ``trace-<benchmark>-seed<seed>.jsonl`` in the working directory."""
-    static_prune: bool = True
-    """Let the repair tools veto statically dead candidates
-    (:mod:`repro.analysis`) before evaluator/solver work.  Part of the
-    cache key when disabled — turning it off changes candidate streams
-    and hence results (the ``--no-static-prune`` ablation)."""
-    incremental: bool = True
-    """Evaluate repair candidates through the shared incremental solve
-    session (:mod:`repro.analyzer.session`).  Deliberately *not* part of
-    the cache key: the session answers verdict-only queries and repair
-    outcomes are bit-identical with it on or off, so both modes may share
-    cached results (the ``--no-incremental`` ablation only changes how
-    long cells take)."""
-    canonical: bool = True
-    """Deduplicate semantically equivalent candidates by canonical form
-    (:mod:`repro.analysis.canon`) so the oracle solves one representative
-    per equivalence class.  Like ``incremental`` — and unlike
-    ``static_prune`` — *not* part of the cache key: replayed verdicts keep
-    the oracle-budget traversal byte-identical, so both modes share cached
-    results (the ``--no-canon`` ablation only changes solver work)."""
     shard_timeout: float | None = None
     """Wall-clock seconds one shard (one spec's pending cells) may take.
     Overdue shards record a ``shard.timeout`` failure and ``"timeout"``
@@ -343,7 +324,6 @@ def _run(config: RunConfig) -> ResultMatrix:
         config.seed,
         config.scale,
         techniques,
-        static_prune=config.static_prune,
         chaos_digest=config.chaos.digest() if config.chaos else None,
     )
     matrix = ResultMatrix(
@@ -381,9 +361,6 @@ def _run(config: RunConfig) -> ResultMatrix:
                     seed=config.seed,
                     fail_fast=config.fail_fast,
                     trace=tracing,
-                    static_prune=config.static_prune,
-                    incremental=config.incremental,
-                    canonical=config.canonical,
                     shard_timeout=config.shard_timeout,
                     chaos=config.chaos,
                 )
@@ -486,20 +463,14 @@ def _matrix_key(
     scale: float,
     techniques: Sequence[str],
     *,
-    static_prune: bool = True,
     chaos_digest: str | None = None,
 ) -> str:
     # The key folds in the technique *set* (sorted: order cannot change
     # outcomes) so a subset run and a full run never collide on one file.
     # Execution parameters (jobs, executor) are deliberately excluded:
-    # they must not change the result.  The static-prune bit *does* change
-    # candidate streams, so the ablation (``static_prune=False``) gets its
-    # own key; the default keeps the historical key shape so committed
-    # caches stay addressable.  A chaos plan changes outcomes by design,
-    # so its digest gets its own key for the same reason.
+    # they must not change the result.  A chaos plan changes outcomes by
+    # design, so its digest gets its own key.
     payload = {"b": benchmark, "s": seed, "sc": scale, "t": sorted(techniques)}
-    if not static_prune:
-        payload["sp"] = False
     if chaos_digest is not None:
         payload["ch"] = chaos_digest
     digest = hashlib.sha256(

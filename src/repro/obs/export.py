@@ -317,8 +317,7 @@ def render_profile(data: TraceData) -> str:
             continue
         # Candidate throughput: candidates evaluated per second of time
         # spent inside repair() — the headline number the incremental
-        # solve session moves (compare a --trace run against one with
-        # --no-incremental).
+        # solve session moves.
         candidates = data.labelled_total("repair.candidates", technique)
         spent = summary.get("sum", 0.0)
         throughput = f"{candidates / spent:.1f}" if spent > 0 else "-"
@@ -398,7 +397,7 @@ def render_profile(data: TraceData) -> str:
     if dedup and oracle:
         # The dedup headline: what fraction of oracle queries never
         # reached the solver because a canonically-equal candidate had
-        # already been judged (compare against a --no-canon run).
+        # already been judged.
         sections.append("")
         sections.append(
             f"Semantic dedup: {int(dedup)} of {int(oracle)} oracle "

@@ -29,9 +29,6 @@ class ARepairConfig:
     plateau_moves: int = 2
     """How many sideways (equal-score) moves the greedy walk may take when
     no strictly improving mutation exists — multi-edit faults need them."""
-    static_prune: bool = True
-    """Veto statically dead mutants before scoring them against the suite
-    (gated by the ambient :func:`repro.analysis.prune.pruning` switch)."""
 
 
 class ARepair(RepairTool):
@@ -68,7 +65,7 @@ class ARepair(RepairTool):
             locations = localize(
                 module, info, discriminators, max_locations=self._config.max_locations
             )
-            mutator = Mutator(module, info, prune=self._config.static_prune)
+            mutator = Mutator(module, info, prune=True)
             best_mutant = None
             best_mutant_score = best_score
             plateau_mutant = None
@@ -166,7 +163,7 @@ class ARepair(RepairTool):
             paths,
             depth=2,
             limit=80,
-            prune=self._config.static_prune,
+            prune=True,
         ):
             explored += 1
             if ";" not in mutant.description:

@@ -21,6 +21,7 @@ from repro.alloy.errors import AlloyError
 from repro.alloy.nodes import Block, Command
 from repro.alloy.pretty import print_module
 from repro.alloy.resolver import resolve_module
+from repro.analysis.prune import CandidateFilter
 from repro.analyzer.analyzer import Analyzer
 from repro.analyzer.evaluator import Evaluator
 from repro.analyzer.instance import Instance
@@ -44,10 +45,6 @@ class AtrConfig:
     max_candidates: int = 800
     max_oracle_queries: int = 45
     satisfying_instances: int = 2
-    static_prune: bool = True
-    """Veto template instantiations that introduce statically dead
-    constructs before the evaluator/oracle pipeline (also gated by the
-    ambient :func:`repro.analysis.prune.pruning` switch)."""
 
 
 class Atr(RepairTool):
@@ -76,11 +73,7 @@ class Atr(RepairTool):
         )
         explored = 0
         pruned = 0
-        candidate_filter = None
-        if self._config.static_prune:
-            from repro.analysis.prune import CandidateFilter
-
-            candidate_filter = CandidateFilter(task.module, task.info)
+        candidate_filter = CandidateFilter(task.module, task.info)
         # Strengthening templates first: they directly target synthesis-class
         # faults (a dropped constraint) and the batch is small.
         for candidate, description in strengthening_candidates(

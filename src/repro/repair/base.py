@@ -23,15 +23,10 @@ from repro.runtime.errors import classify_exception
 from repro.alloy.parser import parse_module
 from repro.alloy.pretty import print_module
 from repro.alloy.resolver import ModuleInfo, resolve_module
-from repro.analysis.canon import (
-    canonical_enabled,
-    canonical_key,
-    record_dedup_hit,
-    shared_verdicts,
-)
+from repro.analysis.canon import canonical_key, record_dedup_hit, shared_verdicts
 from repro.analyzer.analyzer import Analyzer, CommandResult
 from repro.analyzer.instance import Instance
-from repro.analyzer.session import OracleSession, incremental_enabled
+from repro.analyzer.session import OracleSession
 
 
 class RepairStatus(enum.Enum):
@@ -133,8 +128,8 @@ class PropertyOracle:
         return command.kind == "run"
 
     def _ensure_session(self) -> OracleSession | None:
-        """The shared incremental session, if enabled and healthy."""
-        if self._session_failed or not incremental_enabled():
+        """The shared incremental session, unless it failed on this task."""
+        if self._session_failed:
             return None
         if self._session is None:
             try:
@@ -152,21 +147,19 @@ class PropertyOracle:
         the oracle vacuously.  Commands reference predicates/assertions by
         name, so a candidate missing them simply fails.
 
-        This is a verdict-only query (per-command satisfiability), so by
-        default it runs through a shared :class:`OracleSession` that
-        re-encodes only the candidate's edited paragraph; results carry no
-        instances.  Structurally divergent candidates — and every
-        instance-producing query below — use the from-scratch Analyzer,
-        which keeps repair outcomes identical whether the session is on or
-        off (the ``--no-incremental`` ablation).
+        This is a verdict-only query (per-command satisfiability), so it
+        runs through a shared :class:`OracleSession` that re-encodes only
+        the candidate's edited paragraph; results carry no instances.
+        Structurally divergent candidates, session failures, and every
+        instance-producing query below use the from-scratch Analyzer,
+        which reaches the same verdicts.
 
-        Semantic dedup: when :func:`canonicalizing` is active, candidates
-        hash to their canonical form and only one representative per
-        equivalence class reaches the solver — later members replay the
-        cached verdict.  ``queries`` still increments on a replay, so the
-        tools' oracle-budget traversal (and therefore every matrix cell)
-        is byte-identical under the ``--no-canon`` ablation; only
-        ``solver_checks`` and wall-clock drop.  Inside a
+        Semantic dedup: candidates hash to their canonical form and only
+        one representative per equivalence class reaches the solver —
+        later members replay the cached verdict.  ``queries`` still
+        increments on a replay, so the tools' oracle-budget traversal (and
+        therefore every matrix cell) is byte-identical to solving every
+        candidate; only ``solver_checks`` and wall-clock drop.  Inside a
         :func:`~repro.analysis.canon.verdict_sharing` scope (installed per
         shard by the executor) the cache is additionally shared across
         *tools*: BeAFix's verdicts replay for the canonically-equal
@@ -175,13 +168,13 @@ class PropertyOracle:
 
         Under an active chaos scope the replay is suppressed entirely:
         fault sites trigger per solver invocation, so skipping real solves
-        would shift the deterministic fault schedule away from the
-        ``--no-canon`` arm.  Chaos drills measure resilience, not
+        would shift the deterministic fault schedule away from an arm
+        that solves every candidate.  Chaos drills measure resilience, not
         throughput — they pay for the full solver stream."""
         self.queries += 1
         cache: dict | None = None
         cache_key: object = None
-        if canonical_enabled() and chaos.active() is None:
+        if chaos.active() is None:
             key = canonical_key(module, self._task.info)
             if key is not None:
                 shared = shared_verdicts()
@@ -270,11 +263,11 @@ class PropertyOracle:
         the key is the exact printed text — canonical equality is not
         enough to share them.  Replays advance ``queries`` by the same
         per-command count as the original run, keeping every tool's
-        budget traversal byte-identical under ``--no-canon``.
+        budget traversal byte-identical to an unshared run.
         """
         cache: dict | None = None
         cache_key: object = None
-        if canonical_enabled() and chaos.active() is None:
+        if chaos.active() is None:
             cache = shared_verdicts()
             if cache is not None:
                 try:

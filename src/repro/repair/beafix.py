@@ -43,10 +43,6 @@ class BeAFixConfig:
     max_oracle_queries: int = 40
     prune: bool = True
     """Disable to measure the value of semantic pruning (ablation)."""
-    static_prune: bool = True
-    """Veto mutants that introduce statically dead constructs before any
-    evaluator or solver work (also gated by the ambient
-    :func:`repro.analysis.prune.pruning` switch / ``--no-static-prune``)."""
 
 
 class BeAFix(RepairTool):
@@ -81,7 +77,7 @@ class BeAFix(RepairTool):
             paths,
             depth=self._config.max_depth,
             limit=self._config.max_candidates,
-            prune=self._config.static_prune,
+            prune=True,
         ):
             explored += 1
             if oracle.queries >= self._config.max_oracle_queries:

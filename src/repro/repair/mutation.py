@@ -209,10 +209,8 @@ class Mutator:
         """The new prunable finding a mutant introduces, else ``None``."""
         if not self._prune:
             return None
-        from repro.analysis.prune import CandidateFilter, pruning_enabled
+        from repro.analysis.prune import CandidateFilter
 
-        if not pruning_enabled():
-            return None
         if self._filter is None:
             self._filter = CandidateFilter(self._module, self._info)
         return self._filter.veto(mutated)

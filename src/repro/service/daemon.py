@@ -113,15 +113,6 @@ class ServiceConfig:
     use_store: bool = True
     """Flush completed cells to the incremental result store (and serve
     repeat/resumed jobs from it)."""
-    static_prune: bool = True
-    incremental: bool = True
-    """Evaluate repair candidates through the shared incremental solve
-    session.  Like ``RunConfig.incremental``, not part of the store recipe:
-    the ablation only changes job latency, never cell payloads."""
-    canonical: bool = True
-    """Deduplicate semantically equivalent candidates before they reach
-    the solver.  Like ``incremental``, not part of the store recipe: the
-    ablation only changes job latency, never cell payloads."""
     chaos: FaultPlan | None = None
     """Fault-injection plan installed around every job execution and
     store flush — how ``repro chaos --service`` drills the live daemon."""
@@ -179,7 +170,8 @@ def store_recipe(config: ServiceConfig) -> dict:
         "b": config.benchmark,
         "s": config.seed,
         "sc": config.scale,
-        "sp": config.static_prune,
+        # Pruning is always on; kept so old stores and mirrors keep their file.
+        "sp": True,
         "ch": config.chaos.digest() if config.chaos else None,
     }
 
@@ -577,9 +569,6 @@ class ReproService:
             spec=self._faulty_spec(record.spec),
             techniques=techniques,
             seed=record.spec.seed,
-            static_prune=self.config.static_prune,
-            incremental=self.config.incremental,
-            canonical=self.config.canonical,
             shard_timeout=self.config.job_timeout,
             chaos=self.config.chaos,
         )

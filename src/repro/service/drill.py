@@ -134,8 +134,6 @@ def _reference_execution(
                 spec=service._specs[spec_id],
                 techniques=techniques,
                 seed=seed,
-                static_prune=service.config.static_prune,
-                incremental=service.config.incremental,
                 shard_timeout=service.config.job_timeout,
                 chaos=plan,
             )

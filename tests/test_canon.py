@@ -2,13 +2,16 @@
 
 The contract under test mirrors the incremental session's: replaying a
 cached verdict for a canonically-equal candidate must never change any
-outcome — verdicts, matrix payloads, and chaos schedules are identical
-with dedup on or off, which is what keeps ``--no-canon`` out of the
-result-cache key.
+outcome — verdicts, matrix payloads, and chaos schedules are identical to
+a reference arm that solves every candidate.  That arm is set up here by
+patching ``repro.repair.base.canonical_key`` to return ``None``, the
+oracle's "no usable key" answer.
 """
 
 import json
+from contextlib import nullcontext
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from unittest import mock
 
 import pytest
 
@@ -17,14 +20,13 @@ from repro.alloy.parser import parse_module
 from repro.alloy.resolver import resolve_module
 from repro.analysis import (
     CandidateFilter,
-    canonical_enabled,
     canonical_key,
     canonical_text,
-    canonicalizing,
     verdict_sharing,
 )
 from repro.chaos.plan import FaultPlan, SiteConfig
 from repro.experiments.runner import RunConfig, run_matrix
+from repro.repair import base
 from repro.repair.base import PropertyOracle, RepairTask
 from repro.repair.mutation import Mutator
 
@@ -52,6 +54,15 @@ DOUBLE_NEG_VARIANT = BASE.replace(
 )
 
 DIFFERENT = BASE.replace("lone Node", "set Node")
+
+
+def _no_key(module, info=None):
+    return None
+
+
+def _no_dedup_arm(monkeypatch) -> None:
+    """From here on, every oracle in the test solves every candidate."""
+    monkeypatch.setattr(base, "canonical_key", _no_key)
 
 
 def canon(source):
@@ -93,17 +104,6 @@ class TestCanonicalText:
         )
 
 
-class TestCanonicalSwitch:
-    def test_nests_and_restores(self):
-        assert canonical_enabled() is True
-        with canonicalizing(False):
-            assert canonical_enabled() is False
-            with canonicalizing(True):
-                assert canonical_enabled() is True
-            assert canonical_enabled() is False
-        assert canonical_enabled() is True
-
-
 class TestOracleDedup:
     def test_replay_counts_query_but_not_solve(self):
         task = RepairTask.from_source(BASE)
@@ -127,18 +127,18 @@ class TestOracleDedup:
             if key.startswith("analysis.dedup_hits")
         ) == 1
 
-    def test_ablation_solves_every_candidate(self):
+    def test_ablation_solves_every_candidate(self, monkeypatch):
+        _no_dedup_arm(monkeypatch)
         task = RepairTask.from_source(BASE)
-        with canonicalizing(False):
-            oracle = PropertyOracle(task)
-            oracle.evaluate_module(parse_module(BASE))
-            oracle.evaluate_module(parse_module(BASE))
+        oracle = PropertyOracle(task)
+        oracle.evaluate_module(parse_module(BASE))
+        oracle.evaluate_module(parse_module(BASE))
         assert oracle.queries == 2
         assert oracle.solver_checks == 2
 
     def test_chaos_scope_suppresses_replay(self):
         # Fault sites trigger per solver invocation; a replay would shift
-        # the deterministic schedule away from the --no-canon arm.
+        # the deterministic schedule away from the no-dedup arm.
         task = RepairTask.from_source(BASE)
         plan = FaultPlan(seed=3, sites={})
         with chaos.install(plan, salt="t"):
@@ -211,9 +211,10 @@ class TestVerdictSharing:
             if key.startswith("analysis.dedup_hits")
         ) == replayer.queries
 
-    def test_ablation_disables_sharing(self):
+    def test_ablation_disables_sharing(self, monkeypatch):
+        _no_dedup_arm(monkeypatch)
         task = RepairTask.from_source(BASE)
-        with verdict_sharing(), canonicalizing(False):
+        with verdict_sharing():
             first = PropertyOracle(task)
             second = PropertyOracle(task)
             first.evaluate_module(parse_module(BASE))
@@ -234,13 +235,17 @@ class TestVerdictSharing:
         assert shared_verdicts() is None
 
 
-def _verdicts(source, enabled):
-    """(ok, [sat...]) per mutant through one PropertyOracle."""
+def _verdicts(source, dedup=True):
+    """(ok, [sat...]) per mutant through one PropertyOracle; with
+    ``dedup=False`` every mutant reaches the solver."""
     task = RepairTask.from_source(source)
     mutants = [m.module for m in Mutator(task.module, task.info).all_mutants()]
     assert mutants, "mutation produced no candidates"
     out = []
-    with canonicalizing(enabled):
+    arm = nullcontext() if dedup else mock.patch.object(
+        base, "canonical_key", _no_key
+    )
+    with arm:
         oracle = PropertyOracle(task)
         for module in mutants:
             ok, results = oracle.evaluate_module(module)
@@ -255,21 +260,26 @@ class TestVerdictEquivalence:
 
     @pytest.mark.parametrize("source", [FAULTY_LINKED_LIST_SPEC, MARRIAGE_SPEC])
     def test_mutant_stream_matches_ablation(self, source):
-        assert _verdicts(source, True) == _verdicts(source, False)
+        assert _verdicts(source) == _verdicts(source, dedup=False)
 
     def test_thread_workers_agree(self):
+        # The patch is process-wide, so the reference runs first and two
+        # deduplicating workers then race each other.
+        scratch = _verdicts(FAULTY_LINKED_LIST_SPEC, dedup=False)
         with ThreadPoolExecutor(max_workers=2) as pool:
-            deduped = pool.submit(_verdicts, FAULTY_LINKED_LIST_SPEC, True)
-            scratch = pool.submit(_verdicts, FAULTY_LINKED_LIST_SPEC, False)
-            assert deduped.result() == scratch.result()
+            workers = [
+                pool.submit(_verdicts, FAULTY_LINKED_LIST_SPEC)
+                for _ in range(2)
+            ]
+            assert [w.result() for w in workers] == [scratch, scratch]
 
     def test_process_workers_agree(self):
         with ProcessPoolExecutor(max_workers=2) as pool:
-            deduped = pool.submit(_verdicts, MARRIAGE_SPEC, True)
+            deduped = pool.submit(_verdicts, MARRIAGE_SPEC)
             scratch = pool.submit(_verdicts, MARRIAGE_SPEC, False)
             assert deduped.result(timeout=120) == scratch.result(timeout=120)
 
-    def test_chaos_schedule_identical_across_ablation(self):
+    def test_chaos_schedule_identical_across_ablation(self, monkeypatch):
         plan = FaultPlan(
             seed=7, sites={"sat.budget": SiteConfig(probability=0.3)}
         )
@@ -279,8 +289,10 @@ class TestVerdictEquivalence:
         ]
         streams = []
         events = []
-        for enabled in (True, False):
-            with canonicalizing(enabled), chaos.install(plan, salt="x") as scope:
+        for dedup in (True, False):
+            if not dedup:
+                _no_dedup_arm(monkeypatch)
+            with chaos.install(plan, salt="x") as scope:
                 oracle = PropertyOracle(task)
                 streams.append(
                     [oracle.evaluate_module(m)[0] for m in mutants]
@@ -319,16 +331,17 @@ def _run(**overrides):
 
 
 class TestMatrixEquivalence:
-    def test_canon_matches_ablation_bytes(self, isolated_cache):
-        assert _payload_bytes(_run()) == _payload_bytes(
-            _run(canonical=False)
-        )
+    def test_canon_matches_ablation_bytes(self, isolated_cache, monkeypatch):
+        deduped = _run()
+        _no_dedup_arm(monkeypatch)
+        assert _payload_bytes(deduped) == _payload_bytes(_run())
 
-    def test_ablation_shares_the_result_cache(self, isolated_cache):
-        # canonical is excluded from the cache key: a --no-canon rerun of
-        # a cached matrix must be served from the same file.
+    def test_ablation_shares_the_result_cache(self, isolated_cache, monkeypatch):
+        # The cache key carries no dedup bit: a no-dedup rerun of a
+        # cached matrix is served from the same file.
         first = _run(use_cache=True)
-        second = _run(use_cache=True, canonical=False)
+        _no_dedup_arm(monkeypatch)
+        second = _run(use_cache=True)
         assert _payload_bytes(first) == _payload_bytes(second)
         assert second.telemetry is None
 
@@ -353,55 +366,3 @@ class TestBaselineMemo:
             CandidateFilter(second, resolve_module(second))
         counters = registry.snapshot()["counters"]
         assert "analysis.baseline_lint_reuse" not in counters
-
-
-class TestAblationPlumbing:
-    def test_shard_task_carries_the_bit(self, monkeypatch):
-        from repro.benchmarks.faults import FaultySpec
-        from repro.experiments import runner
-        from repro.experiments.executor import ShardTask, execute_shard
-        from repro.llm.prompts import RepairHints
-
-        spec = FaultySpec(
-            spec_id="s",
-            benchmark="adhoc",
-            domain="adhoc",
-            model_name="s",
-            faulty_source=BASE,
-            truth_source=BASE,
-            fault_description="",
-            depth=0,
-            hints=RepairHints(),
-        )
-        observed = {}
-
-        def fake_run_spec(spec, technique, seed, truth):
-            observed[technique] = canonical_enabled()
-            return runner._crashed_outcome(spec, technique)
-
-        monkeypatch.setattr(runner, "run_spec", fake_run_spec)
-        execute_shard(
-            ShardTask(spec=spec, techniques=("T1",), seed=0, canonical=False)
-        )
-        execute_shard(
-            ShardTask(spec=spec, techniques=("T2",), seed=0, canonical=True)
-        )
-        assert observed == {"T1": False, "T2": True}
-
-    def test_cli_exposes_no_canon(self):
-        from repro.cli import build_parser
-
-        parser = build_parser()
-        assert parser.parse_args(["table1", "--no-canon"]).no_canon is True
-        assert parser.parse_args(["table1"]).no_canon is False
-        assert parser.parse_args(
-            ["repair", "spec.als", "--no-canon"]
-        ).no_canon is True
-        assert parser.parse_args(["serve", "--no-canon"]).no_canon is True
-
-    def test_matrix_key_ignores_canonical(self):
-        import inspect
-
-        from repro.experiments.runner import _matrix_key
-
-        assert "canonical" not in inspect.signature(_matrix_key).parameters

@@ -1,4 +1,4 @@
-"""CLI tests for `repro lint` and the --no-static-prune flag."""
+"""CLI tests for `repro lint` and the removed --no-static-prune flag."""
 
 from pathlib import Path
 
@@ -78,17 +78,20 @@ class TestLintCommand:
 
 
 class TestNoStaticPruneFlag:
-    def test_experiment_args_accept_flag(self):
-        args = build_parser().parse_args(["table1", "--no-static-prune"])
-        assert args.no_static_prune
-        args = build_parser().parse_args(["table1"])
-        assert not args.no_static_prune
-
-    def test_repair_accepts_flag(self):
-        args = build_parser().parse_args(
-            ["repair", "x.als", "--no-static-prune"]
-        )
-        assert args.no_static_prune
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["table1", "--no-static-prune"],
+            ["table1", "--no-canon"],
+            ["repair", "x.als", "--no-incremental"],
+            ["serve", "--no-static-prune"],
+        ],
+    )
+    def test_removed_evaluation_flags_are_usage_errors(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == EXIT_USAGE
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_lint_parser_defaults(self):
         args = build_parser().parse_args(["lint", "x.als"])

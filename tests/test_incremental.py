@@ -3,9 +3,9 @@
 The contract under test is *bit-identical outcomes*: evaluating a stream of
 repair candidates through the shared incremental session must produce the
 same verdicts, the same matrix payloads, and the same chaos fault schedules
-as the from-scratch path — only faster.  The ``--no-incremental`` ablation
-is therefore a pure performance switch, which is what lets it stay out of
-the result-cache key.
+as the from-scratch path — only faster.  The from-scratch reference arm is
+set up here by patching :meth:`PropertyOracle._ensure_session` to return
+``None``, so every candidate goes through a fresh Analyzer.
 """
 
 import json
@@ -14,9 +14,8 @@ import pytest
 
 from repro.alloy.parser import parse_module
 from repro.alloy.resolver import resolve_module
-from repro.analyzer.session import OracleSession, incremental, incremental_enabled
+from repro.analyzer.session import OracleSession
 from repro.chaos.plan import FaultPlan, SiteConfig
-from repro.experiments.executor import ShardTask
 from repro.experiments.runner import RunConfig, run_matrix
 from repro.repair.base import PropertyOracle, RepairTask
 from repro.repair.mutation import Mutator
@@ -85,14 +84,18 @@ class TestSolveSession:
         assert session.num_selectors == 2
 
 
-def _verdicts(task: RepairTask, modules, enabled: bool):
+def _scratch_arm(monkeypatch) -> None:
+    """From here on, every oracle in the test solves from scratch."""
+    monkeypatch.setattr(PropertyOracle, "_ensure_session", lambda self: None)
+
+
+def _verdicts(task: RepairTask, modules):
     """(ok, [sat...]) per candidate through one PropertyOracle."""
+    oracle = PropertyOracle(task)
     out = []
-    with incremental(enabled):
-        oracle = PropertyOracle(task)
-        for module in modules:
-            ok, results = oracle.evaluate_module(module)
-            out.append((ok, [r.sat for r in results]))
+    for module in modules:
+        ok, results = oracle.evaluate_module(module)
+        out.append((ok, [r.sat for r in results]))
     return out
 
 
@@ -101,13 +104,14 @@ class TestOracleSessionEquivalence:
     candidate, including resolution failures and structural fallbacks."""
 
     @pytest.mark.parametrize("source", [FAULTY_LINKED_LIST_SPEC, MARRIAGE_SPEC])
-    def test_mutant_stream_verdicts_match_scratch(self, source):
+    def test_mutant_stream_verdicts_match_scratch(self, source, monkeypatch):
         task = RepairTask.from_source(source)
         mutator = Mutator(task.module, task.info)
         mutants = [m.module for m in mutator.all_mutants()]
         assert mutants, "mutation produced no candidates"
-        incremental_verdicts = _verdicts(task, mutants, enabled=True)
-        scratch_verdicts = _verdicts(task, mutants, enabled=False)
+        incremental_verdicts = _verdicts(task, mutants)
+        _scratch_arm(monkeypatch)
+        scratch_verdicts = _verdicts(task, mutants)
         assert incremental_verdicts == scratch_verdicts
 
     def test_structurally_divergent_candidate_returns_none(self):
@@ -126,7 +130,7 @@ class TestOracleSessionEquivalence:
         )
         assert session.evaluate(broken) == ([], False)
 
-    def test_base_module_evaluates_like_analyzer(self):
+    def test_base_module_evaluates_like_analyzer(self, monkeypatch):
         task = RepairTask.from_source(MARRIAGE_SPEC)
         session = OracleSession(task.info)
         module = parse_module(MARRIAGE_SPEC)
@@ -135,7 +139,8 @@ class TestOracleSessionEquivalence:
         assert outcome is not None
         results, completed = outcome
         assert completed is True
-        scratch = _verdicts(task, [module], enabled=False)
+        _scratch_arm(monkeypatch)
+        scratch = _verdicts(task, [module])
         assert [r.sat for r in results] == scratch[0][1]
 
 
@@ -166,8 +171,10 @@ class TestMatrixEquivalence:
     """run_matrix payloads are byte-identical with the session on or off,
     and across executors, including under a chaos plan."""
 
-    def test_incremental_matches_scratch_bytes(self):
-        assert _payload_bytes(_run()) == _payload_bytes(_run(incremental=False))
+    def test_incremental_matches_scratch_bytes(self, monkeypatch):
+        incremental = _run()
+        _scratch_arm(monkeypatch)
+        assert _payload_bytes(incremental) == _payload_bytes(_run())
 
     def test_incremental_matches_across_executors(self):
         serial = _run()
@@ -187,52 +194,8 @@ class TestMatrixEquivalence:
         assert serial.chaos_events == processed.chaos_events
 
 
-class TestAblationPlumbing:
-    """The --no-incremental bit must reach the worker ambiently."""
-
-    def test_ambient_toggle_nests_and_restores(self):
-        assert incremental_enabled() is True
-        with incremental(False):
-            assert incremental_enabled() is False
-            with incremental(True):
-                assert incremental_enabled() is True
-            assert incremental_enabled() is False
-        assert incremental_enabled() is True
-
-    def test_shard_task_carries_the_bit(self):
-        from repro.llm.prompts import RepairHints
-        from repro.benchmarks.faults import FaultySpec
-
-        spec = FaultySpec(
-            spec_id="tiny",
-            benchmark="adhoc",
-            domain="adhoc",
-            model_name="tiny",
-            faulty_source=FAULTY_LINKED_LIST_SPEC,
-            truth_source=FAULTY_LINKED_LIST_SPEC,
-            fault_description="",
-            depth=0,
-            hints=RepairHints(),
-        )
-        task = ShardTask(spec=spec, techniques=("ATR",), seed=0)
-        assert task.incremental is True
-        ablated = ShardTask(
-            spec=spec, techniques=("ATR",), seed=0, incremental=False
-        )
-        assert ablated.incremental is False
-
-    def test_cli_exposes_no_incremental(self):
-        from repro.cli import build_parser
-
-        parser = build_parser()
-        args = parser.parse_args(["table1", "--no-incremental"])
-        assert args.no_incremental is True
-        args = parser.parse_args(["table1"])
-        assert args.no_incremental is False
-        args = parser.parse_args(["repair", "spec.als", "--no-incremental"])
-        assert args.no_incremental is True
-        args = parser.parse_args(["serve", "--no-incremental"])
-        assert args.no_incremental is True
+class TestProfile:
+    """`repro profile` reports the candidate throughput the session moves."""
 
     def test_profile_renders_candidate_throughput(self):
         from repro import obs

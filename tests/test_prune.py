@@ -1,9 +1,9 @@
-"""Static candidate pruning: the filter, the ambient switch, the wiring."""
+"""Static candidate pruning: the filter and the mutator wiring."""
 
 from repro import obs
 from repro.alloy.parser import parse_module
 from repro.alloy.resolver import resolve_module
-from repro.analysis import CandidateFilter, pruning, pruning_enabled
+from repro.analysis import CandidateFilter
 from repro.analysis.prune import record_pruned
 from repro.repair.mutation import Mutator
 
@@ -81,23 +81,6 @@ class TestCandidateFilter:
         )
         assert filt.veto(candidate, candidate_info) is None
 
-    def test_ambient_switch_disables_veto(self):
-        module, info = modinfo(CLEAN)
-        filt = CandidateFilter(module, info)
-        candidate, candidate_info = modinfo(INFEASIBLE_CANDIDATE)
-        with pruning(False):
-            assert filt.veto(candidate, candidate_info) is None
-        assert filt.veto(candidate, candidate_info) is not None
-
-    def test_pruning_context_nests_and_restores(self):
-        assert pruning_enabled()
-        with pruning(False):
-            assert not pruning_enabled()
-            with pruning(True):
-                assert pruning_enabled()
-            assert not pruning_enabled()
-        assert pruning_enabled()
-
     def test_record_pruned_counts_by_rule(self):
         module, info = modinfo(CLEAN)
         filt = CandidateFilter(module, info)
@@ -128,49 +111,3 @@ class TestMutatorPruning:
         filt = CandidateFilter(module, info)
         for mutant in Mutator(module, info, prune=True).all_mutants():
             assert filt.veto(mutant.module) is None
-
-    def test_ambient_off_restores_full_stream(self):
-        module, info = modinfo(CLEAN)
-        unpruned = [
-            m.description for m in Mutator(module, info).all_mutants()
-        ]
-        with pruning(False):
-            gated = [
-                m.description
-                for m in Mutator(module, info, prune=True).all_mutants()
-            ]
-        assert gated == unpruned
-
-
-class TestExecutorPropagation:
-    def test_shard_task_carries_static_prune_bit(self, monkeypatch):
-        from repro.benchmarks.faults import FaultySpec
-        from repro.experiments import runner
-        from repro.experiments.executor import ShardTask, execute_shard
-        from repro.llm.prompts import RepairHints
-
-        spec = FaultySpec(
-            spec_id="s",
-            benchmark="adhoc",
-            domain="adhoc",
-            model_name="s",
-            faulty_source=CLEAN,
-            truth_source=CLEAN,
-            fault_description="",
-            depth=0,
-            hints=RepairHints(),
-        )
-        observed = {}
-
-        def fake_run_spec(spec, technique, seed, truth):
-            observed[technique] = pruning_enabled()
-            return runner._crashed_outcome(spec, technique)
-
-        monkeypatch.setattr(runner, "run_spec", fake_run_spec)
-        execute_shard(
-            ShardTask(spec=spec, techniques=("T1",), seed=0, static_prune=False)
-        )
-        execute_shard(
-            ShardTask(spec=spec, techniques=("T2",), seed=0, static_prune=True)
-        )
-        assert observed == {"T1": False, "T2": True}
