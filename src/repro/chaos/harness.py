@@ -5,8 +5,8 @@ experiment layers into an executable assertion, under deterministic
 fault injection:
 
 - **matrix-equivalence** — with faults firing in the solver, analyzer,
-  repair tools, and LLM transport, serial, thread-pool, and process-pool
-  runs of the same :class:`~repro.experiments.runner.RunConfig` produce
+  repair tools, and LLM transport, serial and process-pool runs of the
+  same :class:`~repro.experiments.runner.RunConfig` produce
   identical matrices and identical fault schedules, and every injected
   ``repair.crash`` surfaces as exactly the right
   :class:`~repro.runtime.guard.FailureRecord`;
@@ -20,8 +20,8 @@ fault injection:
 - **llm-retry** — transient LLM faults bounded under the retry budget are
   fully absorbed: the matrix is bit-identical to a fault-free run;
 - **shard-timeout** — a deliberately slow shard records a
-  ``shard.timeout`` failure while every other cell still completes, under
-  all three executors.
+  ``shard.timeout`` failure while every other cell still completes, both
+  serially and on the process pool.
 
 Drills run inside a temporary ``REPRO_CACHE_DIR`` so they never touch
 (or trust) the user's caches.  The report is plain JSON written with
@@ -102,7 +102,7 @@ def _temp_cache() -> Iterator[Path]:
     ``REPRO_CACHE_DIR`` is read per call by :func:`repro.benchmarks.cache
     .cache_dir`, and the ``fork`` process backend inherits the
     environment, so pointing it at a temp dir isolates every layer —
-    benchmark caches, result matrices — in every executor.
+    benchmark caches, result matrices — in serial and pooled runs alike.
     """
     previous = os.environ.get("REPRO_CACHE_DIR")
     with tempfile.TemporaryDirectory(prefix="repro-chaos-") as tmp:
@@ -146,7 +146,7 @@ def _events_by_site(events: list[dict]) -> dict[str, int]:
 def equivalence_drill(
     seed: int, requested: set[str], jobs: int, scale: float
 ) -> DrillResult:
-    """Serial ≡ thread ≡ process under injected faults, crashes audited."""
+    """Serial ≡ process under injected faults, crashes audited."""
     from repro.experiments.runner import RunConfig, run_matrix
     from repro.runtime.guard import summarize_failures
 
@@ -159,11 +159,7 @@ def equivalence_drill(
         seed=seed, sites={site: EQUIVALENCE_SITES[site] for site in active}
     )
     runs = {}
-    for label, (executor, n) in (
-        ("serial", ("serial", 1)),
-        ("thread", ("thread", jobs)),
-        ("process", ("process", jobs)),
-    ):
+    for label, n in (("serial", 1), ("process", jobs)):
         with _temp_cache():
             runs[label] = run_matrix(
                 RunConfig(
@@ -172,22 +168,18 @@ def equivalence_drill(
                     seed=seed,
                     techniques=EQUIVALENCE_TECHNIQUES,
                     jobs=n,
-                    executor=executor,
                     use_cache=False,
                     chaos=plan,
                 )
             )
     base = matrix_payload(runs["serial"])
     base_events = runs["serial"].chaos_events
-    for label in ("thread", "process"):
-        if matrix_payload(runs[label]) != base:
-            drill.violations.append(
-                f"{label} matrix diverges from serial under the same plan"
-            )
-        if runs[label].chaos_events != base_events:
-            drill.violations.append(
-                f"{label} fault schedule diverges from serial"
-            )
+    if matrix_payload(runs["process"]) != base:
+        drill.violations.append(
+            "process matrix diverges from serial under the same plan"
+        )
+    if runs["process"].chaos_events != base_events:
+        drill.violations.append("process fault schedule diverges from serial")
 
     # Crash audit: every injected repair.crash must have escaped the tool,
     # been captured by the engine, and classified with the exact taxonomy
@@ -433,7 +425,7 @@ class _SlowTool:
 
 def timeout_drill(seed: int, jobs: int, scale: float) -> DrillResult:
     """A slow shard records ``shard.timeout``; every other cell completes —
-    under all three executors."""
+    serially and on the process pool."""
     from repro.benchmarks.cache import load_benchmark
     from repro.experiments.runner import RunConfig, run_matrix
     from repro.repair import registry
@@ -460,15 +452,14 @@ def timeout_drill(seed: int, jobs: int, scale: float) -> DrillResult:
             # The slow technique runs first so the shard still has a
             # pending cell when the deadline check runs between cells.
             techniques = ("ChaosSlow", "ATR")
-            for executor in ("serial", "thread", "process"):
+            for executor, n in (("serial", 1), ("process", jobs)):
                 matrix = run_matrix(
                     RunConfig(
                         benchmark="arepair",
                         scale=scale,
                         seed=seed,
                         techniques=techniques,
-                        jobs=1 if executor == "serial" else jobs,
-                        executor=executor,
+                        jobs=n,
                         use_cache=False,
                         shard_timeout=deadline,
                     )
@@ -515,7 +506,7 @@ def timeout_drill(seed: int, jobs: int, scale: float) -> DrillResult:
     drill.detail = {
         "target": target,
         "deadline": deadline,
-        "executors": ["serial", "thread", "process"],
+        "executors": ["serial", "process"],
     }
     return drill
 

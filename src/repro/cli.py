@@ -21,11 +21,11 @@ Commands:
 
 Experiment commands accept ``--scale`` (fraction of the Alloy4Fun benchmark,
 default 0.05 for laptop-friendly runs; 1.0 is the paper-sized benchmark),
-``--seed``, ``--jobs N`` (parallel workers; results are bit-identical to a
-serial run), ``--executor`` (force a backend), ``--techniques`` (a
-comma-separated subset of registered techniques), ``--trace``/``--trace-out``
-(capture spans + metrics to a trace JSONL), and ``--verbose`` (per-shard
-timing lines).
+``--seed``, ``--jobs N`` (1 runs serially in-process, more runs a process
+pool of N workers; results are bit-identical either way), ``--techniques``
+(a comma-separated subset of registered techniques),
+``--trace``/``--trace-out`` (capture spans + metrics to a trace JSONL), and
+``--verbose`` (per-shard timing lines).
 """
 
 from __future__ import annotations
@@ -64,13 +64,13 @@ def _seed_arg(text: str) -> int:
     return value
 
 
-def _jobs_arg(text: str) -> int:
+def _positive_int(text: str) -> int:
     try:
         value = int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"jobs must be an integer, got {text!r}")
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
     if value < 1:
-        raise argparse.ArgumentTypeError(f"jobs must be >= 1, got {value}")
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
     return value
 
 
@@ -139,17 +139,11 @@ def _add_experiment_args(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--jobs",
-        type=_jobs_arg,
+        type=_positive_int,
         default=1,
-        help="parallel workers for the experiment engine (results are "
-        "bit-identical to a serial run)",
-    )
-    parser.add_argument(
-        "--executor",
-        choices=["auto", "serial", "thread", "process"],
-        default="auto",
-        help="execution backend; auto = serial for --jobs 1, "
-        "process pool otherwise",
+        help="parallel workers for the experiment engine: 1 runs serially "
+        "in-process, more runs a process pool (results are bit-identical "
+        "to a serial run)",
     )
     parser.add_argument(
         "--techniques",
@@ -186,14 +180,6 @@ def _add_experiment_args(parser: argparse.ArgumentParser) -> None:
         help="wall-clock deadline per shard (one spec's cells); overdue "
         "shards record a shard.timeout failure and their pending cells "
         "are abandoned instead of blocking the run",
-    )
-    parser.add_argument(
-        "--schedule",
-        choices=["fifo", "longest-first"],
-        default="fifo",
-        help="shard ordering: fifo (benchmark order) or longest-first "
-        "(order by historical per-spec cost from a prior --trace run; "
-        "shortens parallel tail latency, never changes results)",
     )
 
 
@@ -268,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
     stats.add_argument("--seed", type=_seed_arg, default=0)
 
     ablations = sub.add_parser("ablations", help="run the ablation sweeps")
-    ablations.add_argument("--samples", type=int, default=5)
+    ablations.add_argument("--samples", type=_positive_int, default=5)
     ablations.add_argument("--seed", type=_seed_arg, default=0)
     ablations.add_argument(
         "--parallel",
@@ -282,7 +268,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     trace.add_argument("trace_file", help="a trace written by --trace")
     trace.add_argument(
-        "--top", type=int, default=12, help="rows per section (default 12)"
+        "--top",
+        type=_positive_int,
+        default=12,
+        help="rows per section (default 12)",
     )
 
     profile = sub.add_parser(
@@ -307,9 +296,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     chaos.add_argument(
         "--jobs",
-        type=_jobs_arg,
+        type=_positive_int,
         default=2,
-        help="parallel workers for the thread/process equivalence runs",
+        help="process-pool workers for the pooled arm of the drills",
     )
     chaos.add_argument("--scale", type=_scale_arg, default=0.05)
     chaos.add_argument(
@@ -362,11 +351,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument("--seed", type=_seed_arg, default=0)
     serve.add_argument(
-        "--workers", type=_jobs_arg, default=2, help="warm worker threads"
+        "--workers", type=_positive_int, default=2, help="warm worker threads"
     )
     serve.add_argument(
         "--max-queue",
-        type=_jobs_arg,
+        type=_positive_int,
         default=64,
         help="queued-job bound; submissions beyond it are rejected with a "
         "retry_after hint",
@@ -526,8 +515,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="load-test the service: host a daemon, drive a fleet of "
         "concurrent synthetic clients, report the availability ledger",
     )
-    loadgen.add_argument("--clients", type=_jobs_arg, default=50)
-    loadgen.add_argument("--jobs-per-client", type=_jobs_arg, default=2)
+    loadgen.add_argument("--clients", type=_positive_int, default=50)
+    loadgen.add_argument("--jobs-per-client", type=_positive_int, default=2)
     loadgen.add_argument(
         "--benchmark", choices=["arepair", "alloy4fun"], default="arepair"
     )
@@ -538,14 +527,14 @@ def build_parser() -> argparse.ArgumentParser:
         help="corpus scale for the hosted daemon(s)",
     )
     loadgen.add_argument("--seed", type=_seed_arg, default=0)
-    loadgen.add_argument("--workers", type=_jobs_arg, default=4)
-    loadgen.add_argument("--max-queue", type=_jobs_arg, default=16)
+    loadgen.add_argument("--workers", type=_positive_int, default=4)
+    loadgen.add_argument("--max-queue", type=_positive_int, default=16)
     loadgen.add_argument(
         "--techniques", type=_techniques_arg, default=None, metavar="A,B,..."
     )
     loadgen.add_argument(
         "--replicas",
-        type=_jobs_arg,
+        type=_positive_int,
         default=1,
         help="host this many daemon replicas against a shared cluster "
         "directory and spread the client fleet across their sockets",
@@ -699,12 +688,10 @@ def _matrices(args):
         seed=args.seed,
         techniques=args.techniques,
         jobs=args.jobs,
-        executor=args.executor,
         use_cache=not args.no_cache,
         fail_fast=fail_fast,
         listener=listener,
         shard_timeout=getattr(args, "shard_timeout", None),
-        schedule=getattr(args, "schedule", "fifo"),
     )
     matrices = []
     for benchmark, scale in (("arepair", 1.0), ("alloy4fun", args.scale)):
@@ -755,12 +742,10 @@ def _cmd_experiment(args) -> int:
             progress=True,
             fail_fast=args.fail_fast,
             jobs=args.jobs,
-            executor=args.executor,
             trace=args.trace,
             trace_out=args.trace_out,
             verbose=args.verbose,
             shard_timeout=args.shard_timeout,
-            schedule=args.schedule,
         )
         print(report.text)
         with open("EXPERIMENTS-report.txt", "w") as handle:
@@ -973,7 +958,13 @@ def _load_chaos_plan(path: str | None):
     return FaultPlan.from_json(json.loads(Path(path).read_text()))
 
 
-def _service_config(args):
+def _config_error(command: str, error: ValueError) -> int:
+    """A rejected :class:`ServiceConfig` value is a usage error, not a crash."""
+    print(f"repro {command}: error: {error}", file=sys.stderr)
+    return EXIT_USAGE
+
+
+def _service_config(args, chaos):
     from repro.service.daemon import ServiceConfig
 
     job_timeout = None if args.no_job_timeout else args.job_timeout
@@ -989,7 +980,7 @@ def _service_config(args):
         job_timeout=job_timeout,
         state_path=args.state,
         use_store=not args.no_store,
-        chaos=_load_chaos_plan(args.chaos_plan),
+        chaos=chaos,
         cluster_dir=args.cluster_dir,
         replica_id=args.replica_id,
         lease_ttl=args.lease_ttl,
@@ -1002,7 +993,12 @@ def _cmd_serve(args) -> int:
 
     from repro.service.daemon import ReproService
 
-    service = ReproService(_service_config(args))
+    chaos = _load_chaos_plan(args.chaos_plan)
+    try:
+        config = _service_config(args, chaos)
+    except ValueError as error:
+        return _config_error("serve", error)
+    service = ReproService(config)
     print(
         f"repro service: benchmark={args.benchmark} "
         f"specs={len(service.jobs_corpus_ids())} workers={args.workers} "
@@ -1118,8 +1114,8 @@ def _cmd_loadgen(args) -> int:
     from repro.service.loadgen import DEFAULT_TECHNIQUES, run_load
 
     with tempfile.TemporaryDirectory(prefix="repro-loadgen-") as tmp:
-        ledger = run_load(
-            ServiceConfig(
+        try:
+            config = ServiceConfig(
                 socket=str(Path(tmp) / "loadgen.sock"),
                 benchmark=args.benchmark,
                 scale=args.scale if args.benchmark == "alloy4fun" else 1.0,
@@ -1128,7 +1124,11 @@ def _cmd_loadgen(args) -> int:
                 max_queue=args.max_queue,
                 job_timeout=None,
                 state_path=str(Path(tmp) / "loadgen.state.json"),
-            ),
+            )
+        except ValueError as error:
+            return _config_error("loadgen", error)
+        ledger = run_load(
+            config,
             clients=args.clients,
             jobs_per_client=args.jobs_per_client,
             techniques=args.techniques or DEFAULT_TECHNIQUES,

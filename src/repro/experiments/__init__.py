@@ -1,13 +1,10 @@
 """Experiment drivers reproducing every table and figure of the paper."""
 
 from repro.experiments.executor import (
-    Executor,
     ProcessExecutor,
     SerialExecutor,
     ShardResult,
     ShardTask,
-    ThreadExecutor,
-    create_executor,
     execute_shard,
 )
 from repro.experiments.figure2 import Figure2, compute_figure2, render_figure2
@@ -34,7 +31,6 @@ from repro.experiments.runner import (
     ResultMatrix,
     RunConfig,
     SpecOutcome,
-    combined_matrices,
     run_matrix,
     run_spec,
 )
@@ -43,7 +39,6 @@ from repro.experiments.table1 import Table1, compute_table1, render_table1
 __all__ = [
     "ALL_TECHNIQUES",
     "ConsoleListener",
-    "Executor",
     "Figure2",
     "Figure3",
     "HybridAnalysis",
@@ -62,13 +57,10 @@ __all__ = [
     "StudyReport",
     "TRADITIONAL",
     "Table1",
-    "ThreadExecutor",
-    "combined_matrices",
     "compute_figure2",
     "compute_figure3",
     "compute_hybrid",
     "compute_table1",
-    "create_executor",
     "execute_shard",
     "generate_report",
     "render_figure2",

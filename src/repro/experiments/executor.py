@@ -1,4 +1,4 @@
-"""Pluggable execution backends for the experiment engine.
+"""Execution backends for the experiment engine.
 
 The matrix computation is embarrassingly parallel: every (specification,
 technique) cell is deterministically seeded (see
@@ -10,13 +10,13 @@ This module supplies the machinery:
   expensive per-spec ground-truth oracle is computed once per shard and
   shared by all of that spec's cells;
 - :func:`execute_shard` runs one shard anywhere — the calling thread, a
-  pool thread, or a forked worker process — and returns a picklable
-  :class:`ShardResult` whose failures are
+  daemon worker thread, or a forked worker process — and returns a
+  picklable :class:`ShardResult` whose failures are
   :class:`~repro.runtime.guard.FailureRecord` values, so crash isolation
   survives process boundaries where exceptions themselves may not pickle;
-- three :class:`Executor` implementations — :class:`SerialExecutor`,
-  :class:`ThreadExecutor`, :class:`ProcessExecutor` — all yield shard
-  results in *submission* order, which is what keeps parallel matrices
+- two backends — :class:`SerialExecutor` (``jobs == 1``) and
+  :class:`ProcessExecutor` (``jobs > 1``) — both yield shard results in
+  *submission* order, which is what keeps parallel matrices
   byte-identical to serial ones and lets the runner flush its cache
   incrementally as shards land.
 
@@ -31,11 +31,11 @@ from __future__ import annotations
 
 import multiprocessing
 import time
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeout
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Iterator, Protocol, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from repro import chaos, obs
 from repro.benchmarks.faults import FaultySpec
@@ -244,39 +244,12 @@ def timeout_shard_result(task: ShardTask, detail: str) -> ShardResult:
     return result
 
 
-class Executor(Protocol):
-    """Runs shards and yields their results in submission order."""
-
-    def run(self, shards: Sequence[ShardTask]) -> Iterator[ShardResult]: ...
-
-
 class SerialExecutor:
     """The in-thread baseline: shards run one after another."""
 
     def run(self, shards: Sequence[ShardTask]) -> Iterator[ShardResult]:
         for shard in shards:
             yield execute_shard(shard)
-
-
-class ThreadExecutor:
-    """A thread pool.
-
-    The repair pipeline is pure Python, so threads mostly overlap I/O and
-    cache traffic rather than compute — but the backend is cheap to start
-    and shares the parent's memory, which makes it the right tool for
-    smoke tests and for deployments where tools shell out.
-    """
-
-    def __init__(self, jobs: int = 2) -> None:
-        if jobs < 1:
-            raise ValueError(f"jobs must be >= 1, got {jobs}")
-        self.jobs = jobs
-
-    def run(self, shards: Sequence[ShardTask]) -> Iterator[ShardResult]:
-        with ThreadPoolExecutor(max_workers=self.jobs) as pool:
-            futures = [pool.submit(execute_shard, shard) for shard in shards]
-            for future in futures:
-                yield future.result()
 
 
 class ProcessExecutor:
@@ -294,28 +267,16 @@ class ProcessExecutor:
     deadline only checks between cells, so a single hanging cell could
     wedge a pool slot forever).  Each result wait is bounded by twice the
     largest shard timeout plus a grace second; a shard that misses even
-    that is declared hung and handled per ``on_timeout``:
-
-    - ``"abandon"`` (default): synthesize ``"timeout"`` outcomes plus a
-      ``shard.timeout`` failure for the hung shard;
-    - ``"requeue"``: re-execute the hung shard in-process (recovering its
-      real result if the hang was environmental) and append the
-      ``shard.timeout`` failure as an audit record.
-
-    Either way, already-finished results are salvaged, everything else
-    finishes in-process, and the wedged pool is torn down without waiting —
-    the run always completes.
+    that is declared hung and *abandoned*: it gets ``"timeout"`` outcomes
+    plus a ``shard.timeout`` failure, already-finished results are
+    salvaged, everything else finishes in-process, and the wedged pool is
+    torn down without waiting — the run always completes.
     """
 
-    def __init__(self, jobs: int = 2, on_timeout: str = "abandon") -> None:
+    def __init__(self, jobs: int = 2) -> None:
         if jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {jobs}")
-        if on_timeout not in ("abandon", "requeue"):
-            raise ValueError(
-                f"on_timeout must be 'abandon' or 'requeue', got {on_timeout!r}"
-            )
         self.jobs = jobs
-        self.on_timeout = on_timeout
 
     @staticmethod
     def _context():
@@ -363,24 +324,7 @@ class ProcessExecutor:
                         f"worker for {task.spec.spec_id!r} exceeded the "
                         f"{allowance:g}s watchdog allowance without reporting"
                     )
-                    if self.on_timeout == "requeue":
-                        result = execute_shard(task)
-                        result.failures.append(
-                            capture_failure(
-                                f"{task.spec.spec_id}:shard",
-                                ShardTimeoutError(
-                                    detail,
-                                    context={
-                                        "spec": task.spec.spec_id,
-                                        "timeout": task.shard_timeout,
-                                        "requeued": True,
-                                    },
-                                ),
-                            )
-                        )
-                        yield result
-                    else:
-                        yield timeout_shard_result(task, detail)
+                    yield timeout_shard_result(task, detail)
                     yield from self._salvage(
                         shards, futures, start=index + 1
                     )
@@ -430,21 +374,3 @@ class ProcessExecutor:
     ) -> Iterator[ShardResult]:
         for shard in remaining:
             yield execute_shard(shard)
-
-
-def create_executor(kind: str, jobs: int) -> Executor:
-    """Resolve an executor name (``auto``/``serial``/``thread``/``process``).
-
-    ``auto`` picks :class:`SerialExecutor` for ``jobs=1`` (no pool
-    overhead, exact legacy behaviour) and :class:`ProcessExecutor`
-    otherwise (the work is CPU-bound Python).
-    """
-    if kind == "auto":
-        kind = "serial" if jobs <= 1 else "process"
-    if kind == "serial":
-        return SerialExecutor()
-    if kind == "thread":
-        return ThreadExecutor(jobs)
-    if kind == "process":
-        return ProcessExecutor(jobs)
-    raise ValueError(f"unknown executor {kind!r}")

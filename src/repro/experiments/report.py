@@ -46,13 +46,11 @@ def generate_report(
     progress: bool = False,
     fail_fast: bool = False,
     jobs: int = 1,
-    executor: str = "auto",
     listener: ProgressListener | None = None,
     trace: bool = False,
     trace_out: str | None = None,
     verbose: bool = False,
     shard_timeout: float | None = None,
-    schedule: str = "fifo",
 ) -> StudyReport:
     """Run both benchmarks and render the complete study report.
 
@@ -66,19 +64,17 @@ def generate_report(
     arepair = run_matrix(
         RunConfig(
             benchmark="arepair", scale=1.0, seed=seed, use_cache=use_cache,
-            fail_fast=fail_fast, jobs=jobs, executor=executor,
-            listener=listener, trace=trace,
+            fail_fast=fail_fast, jobs=jobs, listener=listener, trace=trace,
             trace_out=derive_trace_out(trace_out, trace, "arepair", seed),
-            shard_timeout=shard_timeout, schedule=schedule,
+            shard_timeout=shard_timeout,
         )
     )
     alloy4fun = run_matrix(
         RunConfig(
             benchmark="alloy4fun", scale=scale, seed=seed, use_cache=use_cache,
-            fail_fast=fail_fast, jobs=jobs, executor=executor,
-            listener=listener, trace=trace,
+            fail_fast=fail_fast, jobs=jobs, listener=listener, trace=trace,
             trace_out=derive_trace_out(trace_out, trace, "alloy4fun", seed),
-            shard_timeout=shard_timeout, schedule=schedule,
+            shard_timeout=shard_timeout,
         )
     )
     matrices = [arepair, alloy4fun]

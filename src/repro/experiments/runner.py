@@ -5,15 +5,15 @@ the REP outcome against the ground truth plus TM/SM similarity of whatever
 text the technique produced.  Every table and figure of the paper is a
 projection of this matrix, so it is computed once and cached as JSON.
 
-A run is described by a :class:`RunConfig` and executed by a pluggable
-backend (:mod:`repro.experiments.executor`): work is sharded by
-specification, shards fan out over ``config.jobs`` workers, and each
-completed shard is flushed to the result cache — a killed run resumes
-from its completed shards.  Parallelism never changes the result: cells
-are seeded per (spec, technique) via
-:func:`repro.repair.registry.cell_seed`, so serial and parallel runs
-produce identical matrices, and the cache key deliberately excludes
-``jobs``/``executor``.
+A run is described by a :class:`RunConfig` and executed by a backend
+from :mod:`repro.experiments.executor`: work is sharded by specification,
+shards run serially in-process for ``jobs == 1`` and on a process pool of
+``jobs`` workers otherwise, always in benchmark order, and each completed
+shard is flushed to the result cache — a killed run resumes from its
+completed shards.  Parallelism never changes the result: cells are seeded
+per (spec, technique) via :func:`repro.repair.registry.cell_seed`, so
+serial and parallel runs produce identical matrices, and the cache key
+deliberately excludes ``jobs``.
 """
 
 from __future__ import annotations
@@ -32,13 +32,12 @@ from repro.obs.export import write_trace
 from repro.obs.trace import Span
 from repro.benchmarks.faults import FaultySpec
 from repro.chaos.plan import FaultPlan
-from repro.experiments.executor import ShardTask, create_executor
-from repro.experiments.schedule import SCHEDULES, schedule_shards
-from repro.experiments.progress import (
-    NULL_LISTENER,
-    ConsoleListener,
-    ProgressListener,
+from repro.experiments.executor import (
+    ProcessExecutor,
+    SerialExecutor,
+    ShardTask,
 )
+from repro.experiments.progress import NULL_LISTENER, ProgressListener
 from repro.metrics.bleu import token_match
 from repro.metrics.rep import rep_outcome
 from repro.metrics.syntax_match import syntax_match
@@ -61,8 +60,6 @@ silently colliding with) a run."""
 ALL_TECHNIQUES = registry.all_techniques()
 """The default matrix columns, derived from the technique registry."""
 
-_EXECUTOR_KINDS = ("auto", "serial", "thread", "process")
-
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -79,12 +76,9 @@ class RunConfig:
     techniques: tuple[str, ...] | None = None
     """``None`` means every standard registry technique."""
     jobs: int = 1
-    executor: str = "auto"
-    """``auto`` | ``serial`` | ``thread`` | ``process``; ``auto`` is serial
-    for ``jobs=1`` and a process pool otherwise."""
+    """``1`` runs shards serially in-process; more runs them on a process
+    pool of that many workers."""
     use_cache: bool = True
-    flush_every: int = 1
-    """Flush the result cache every N completed shards (1 = after each)."""
     fail_fast: bool = False
     listener: ProgressListener | None = None
     """Progress callbacks; ``None`` is silent (the library default)."""
@@ -100,11 +94,6 @@ class RunConfig:
     Overdue shards record a ``shard.timeout`` failure and ``"timeout"``
     outcomes for their pending cells; neither is cached (a timeout is an
     execution artifact, not a result), so a later run retries them."""
-    schedule: str = "fifo"
-    """Shard ordering: ``fifo`` (benchmark order) or ``longest-first``
-    (schedule by historical per-spec cost from a prior trace or cached
-    matrix — shortens parallel tail latency).  Never affects results,
-    only wall-clock: executors yield in submission order either way."""
     chaos: FaultPlan | None = None
     """Deterministic fault-injection plan (:mod:`repro.chaos`), installed
     around every shard.  Folded into the cache key — injected faults
@@ -116,19 +105,9 @@ class RunConfig:
             object.__setattr__(self, "techniques", tuple(self.techniques))
         if self.jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {self.jobs}")
-        if self.executor not in _EXECUTOR_KINDS:
-            raise ValueError(
-                f"executor must be one of {_EXECUTOR_KINDS}, got {self.executor!r}"
-            )
-        if self.flush_every < 1:
-            raise ValueError(f"flush_every must be >= 1, got {self.flush_every}")
         if self.shard_timeout is not None and self.shard_timeout <= 0:
             raise ValueError(
                 f"shard_timeout must be > 0, got {self.shard_timeout}"
-            )
-        if self.schedule not in SCHEDULES:
-            raise ValueError(
-                f"schedule must be one of {SCHEDULES}, got {self.schedule!r}"
             )
 
     def technique_list(self) -> list[str]:
@@ -367,15 +346,16 @@ def _run(config: RunConfig) -> ResultMatrix:
             )
     if not shards:
         return matrix
-    shards = schedule_shards(shards, config, matrix)
 
     # Run-level telemetry accumulators (only allocated when tracing):
     # worker shards return picklable span/metric payloads, merged here so
-    # thread and process runs aggregate identically to serial ones.
+    # process-pool runs aggregate identically to serial ones.
     run_spans: list[Span] = []
     run_metrics = obs.MetricsRegistry() if tracing else None
 
-    backend = create_executor(config.executor, config.jobs)
+    backend = (
+        SerialExecutor() if config.jobs == 1 else ProcessExecutor(config.jobs)
+    )
     shards_done = 0
     try:
         for result in backend.run(shards):
@@ -409,18 +389,15 @@ def _run(config: RunConfig) -> ResultMatrix:
                     Span.from_json(payload) for payload in result.spans
                 )
                 run_metrics.merge(result.metrics)
-            if config.use_cache and (
-                shards_done % config.flush_every == 0
-                or shards_done == len(shards)
-            ):
+            if config.use_cache:
                 # Incremental durability: a killed run resumes from the
                 # last flushed shard instead of losing everything.
                 _save_outcomes(matrix, path)
     except KeyboardInterrupt:
         # Ctrl-C is a graceful stop, not a crash: flush everything already
-        # computed (regardless of flush_every cadence) so the next run
-        # resumes from here, say what survived, and let the interrupt
-        # propagate to the caller's exit handling.
+        # computed (a shard merged above may not have reached its own
+        # flush yet) so the next run resumes from here, say what survived,
+        # and let the interrupt propagate to the caller's exit handling.
         if config.use_cache:
             _save_outcomes(matrix, path)
         cells = sum(len(row) for row in matrix.outcomes.values())
@@ -447,7 +424,6 @@ def _run(config: RunConfig) -> ResultMatrix:
                 "seed": config.seed,
                 "scale": config.scale,
                 "jobs": config.jobs,
-                "executor": config.executor,
             },
         )
         matrix.telemetry = {
@@ -467,8 +443,8 @@ def _matrix_key(
 ) -> str:
     # The key folds in the technique *set* (sorted: order cannot change
     # outcomes) so a subset run and a full run never collide on one file.
-    # Execution parameters (jobs, executor) are deliberately excluded:
-    # they must not change the result.  A chaos plan changes outcomes by
+    # The worker count (jobs) is deliberately excluded: it must not
+    # change the result.  A chaos plan changes outcomes by
     # design, so its digest gets its own key.
     payload = {"b": benchmark, "s": seed, "sc": scale, "t": sorted(techniques)}
     if chaos_digest is not None:
@@ -538,29 +514,3 @@ def _load_outcomes(matrix: ResultMatrix, path) -> None:
             f"malformed result record in {path.name}: {error!r}",
             context={"path": str(path)},
         ) from error
-
-
-def combined_matrices(
-    scale: float = 1.0,
-    seed: int = 0,
-    progress: bool = False,
-    jobs: int = 1,
-    executor: str = "auto",
-    listener: ProgressListener | None = None,
-) -> tuple[ResultMatrix, ResultMatrix]:
-    """Both benchmarks' matrices (ARepair first, then Alloy4Fun)."""
-    if listener is None and progress:
-        listener = ConsoleListener()
-    arepair = run_matrix(
-        RunConfig(
-            benchmark="arepair", scale=1.0, seed=seed,
-            jobs=jobs, executor=executor, listener=listener,
-        )
-    )
-    alloy4fun = run_matrix(
-        RunConfig(
-            benchmark="alloy4fun", scale=scale, seed=seed,
-            jobs=jobs, executor=executor, listener=listener,
-        )
-    )
-    return arepair, alloy4fun

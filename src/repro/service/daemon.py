@@ -87,8 +87,9 @@ from repro.service.protocol import (
 )
 
 _SIZE_WEIGHT = 1e-6
-"""Fallback cost per source character for longest-first dispatch — the
-same static proxy :mod:`repro.experiments.schedule` grades last."""
+"""Fallback cost per source character for longest-first dispatch, used
+when the store holds no timings for the spec — small enough that any real
+measurement dominates it."""
 
 
 @dataclass(frozen=True)
@@ -139,8 +140,23 @@ class ServiceConfig:
             raise ValueError(
                 f"job_timeout must be > 0, got {self.job_timeout}"
             )
+        if self.bucket_capacity <= 0:
+            raise ValueError(
+                f"bucket_capacity must be > 0, got {self.bucket_capacity}"
+            )
+        if self.bucket_refill < 0:
+            raise ValueError(
+                f"bucket_refill must be >= 0, got {self.bucket_refill}"
+            )
         if self.lease_ttl <= 0:
             raise ValueError(f"lease_ttl must be > 0, got {self.lease_ttl}")
+        if self.lease_heartbeat is not None and not (
+            0 < self.lease_heartbeat < self.lease_ttl
+        ):
+            raise ValueError(
+                f"lease_heartbeat must be in (0, lease_ttl={self.lease_ttl:g}), "
+                f"got {self.lease_heartbeat}"
+            )
         if self.reclaim_interval <= 0:
             raise ValueError(
                 f"reclaim_interval must be > 0, got {self.reclaim_interval}"

@@ -3,8 +3,7 @@
 Workers are long-lived threads (warm: the benchmark corpus, technique
 registry, and caches are already in memory) pulling jobs off a priority
 queue.  Dispatch order is **priority, then longest-first, then FIFO** —
-the same longest-processing-time-first rationale as
-:mod:`repro.experiments.schedule`, applied online: with a mixed queue the
+longest-processing-time-first, applied online: with a mixed queue the
 expensive jobs start early so the pool's tail latency stays bounded.
 
 Health: a worker that has been busy past its *allowance* (twice the job
@@ -14,8 +13,8 @@ declared **wedged**.  Threads cannot be killed, so the wedged worker is
 *abandoned* — its eventual result (if any) is discarded, a replacement
 thread is spawned immediately so capacity never degrades, and the caller
 is handed the wedged job to synthesize a timeout result for.  This is the
-thread-level analogue of the process watchdog's ``abandon`` policy; jobs
-that must survive a genuine hang should run under the process executor.
+thread-level analogue of the process watchdog, which abandons a hung
+shard the same way.
 
 The pool is deliberately ignorant of the job payload: items are opaque,
 execution is the injected ``runner`` callable, completion is the injected

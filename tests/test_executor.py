@@ -1,13 +1,15 @@
 """The parallel experiment engine: executors, sharding, resume, progress.
 
 The engine's central contract is that parallelism is an execution detail:
-serial, thread-pool, and process-pool runs of the same :class:`RunConfig`
-must produce identical matrices (and share one cache entry), a worker
-crash must degrade to a ``crashed`` cell rather than kill the run, and a
-killed run must resume from its flushed shards.
+serial and process-pool runs of the same :class:`RunConfig` must produce
+identical matrices (and share one cache entry), shards run on threads
+(as the service daemon runs them) must match too, a worker crash must
+degrade to a ``crashed`` cell rather than kill the run, and a killed run
+must resume from its flushed shards.
 """
 
 import pickle
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -17,8 +19,7 @@ from repro.experiments.executor import (
     SerialExecutor,
     ShardResult,
     ShardTask,
-    ThreadExecutor,
-    create_executor,
+    execute_shard,
 )
 from repro.experiments.runner import (
     RunConfig,
@@ -82,7 +83,7 @@ class TestExecutorEquivalence:
 
     def test_process_jobs_4_matches_serial(self):
         serial = run_matrix(self._config())
-        parallel = run_matrix(self._config(jobs=4, executor="process"))
+        parallel = run_matrix(self._config(jobs=4))
         assert payload(parallel) == payload(serial)
         for technique in self.TECHNIQUES:
             assert parallel.rep_count(technique) == serial.rep_count(technique)
@@ -94,11 +95,23 @@ class TestExecutorEquivalence:
             )
 
     def test_thread_pool_matches_serial(self):
+        # The service daemon runs execute_shard on worker threads, so
+        # shards racing on one process must still reproduce the matrix.
         serial = run_matrix(self._config(techniques=("ATR",)))
-        threaded = run_matrix(
-            self._config(techniques=("ATR",), jobs=2, executor="thread")
-        )
-        assert payload(threaded) == payload(serial)
+        shards = [
+            ShardTask(spec=spec, techniques=("ATR",), seed=0)
+            for spec in serial.specs
+        ]
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            results = list(pool.map(execute_shard, shards))
+        threaded = {
+            result.spec_id: {
+                technique: (o.rep, o.tm, o.sm, o.status)
+                for technique, o in result.outcomes.items()
+            }
+            for result in results
+        }
+        assert threaded == payload(serial)
 
     def test_parallel_run_is_served_from_serial_cache(self, monkeypatch):
         import repro.experiments.runner as runner_module
@@ -110,7 +123,7 @@ class TestExecutorEquivalence:
             raise AssertionError("expected a cache hit, not a recomputation")
 
         monkeypatch.setattr(runner_module, "run_spec", must_not_run)
-        parallel = run_matrix(RunConfig(**config, jobs=4, executor="process"))
+        parallel = run_matrix(RunConfig(**config, jobs=4))
         assert payload(parallel) == payload(serial)
 
 
@@ -127,7 +140,6 @@ class TestCrashIsolationAcrossProcesses:
                     scale=0.05,
                     techniques=("ATR", "Crashy"),
                     jobs=2,
-                    executor="process",
                     use_cache=False,
                 )
             )
@@ -175,7 +187,6 @@ class TestBrokenPoolFallback:
                     scale=0.05,
                     techniques=("HardKill",),
                     jobs=2,
-                    executor="process",
                     use_cache=False,
                 )
             )
@@ -293,10 +304,6 @@ class TestRunMatrixApi:
     def test_runconfig_validation(self):
         with pytest.raises(ValueError, match="jobs"):
             RunConfig(benchmark="arepair", jobs=0)
-        with pytest.raises(ValueError, match="executor"):
-            RunConfig(benchmark="arepair", executor="bogus")
-        with pytest.raises(ValueError, match="flush_every"):
-            RunConfig(benchmark="arepair", flush_every=0)
 
     def test_unknown_technique_is_rejected_before_running(self):
         with pytest.raises(ValueError, match="NoSuchTool"):
@@ -323,24 +330,48 @@ class TestCacheKey:
 
 
 class TestExecutorFactory:
-    def test_auto_is_serial_for_one_job(self):
-        assert isinstance(create_executor("auto", 1), SerialExecutor)
+    """``jobs`` alone picks the backend ``run_matrix`` uses."""
 
-    def test_auto_is_a_process_pool_for_many_jobs(self):
-        assert isinstance(create_executor("auto", 4), ProcessExecutor)
+    @pytest.fixture
+    def backends(self, monkeypatch):
+        import repro.experiments.runner as runner_module
 
-    def test_explicit_kinds(self):
-        assert isinstance(create_executor("serial", 1), SerialExecutor)
-        assert isinstance(create_executor("thread", 2), ThreadExecutor)
-        assert isinstance(create_executor("process", 2), ProcessExecutor)
+        used = []
 
-    def test_unknown_kind_is_rejected(self):
-        with pytest.raises(ValueError, match="bogus"):
-            create_executor("bogus", 2)
+        class RecordingSerial(SerialExecutor):
+            def run(self, shards):
+                used.append("serial")
+                return super().run(shards)
+
+        class RecordingProcess(ProcessExecutor):
+            def run(self, shards):
+                used.append(("process", self.jobs))
+                return super().run(shards)
+
+        monkeypatch.setattr(runner_module, "SerialExecutor", RecordingSerial)
+        monkeypatch.setattr(runner_module, "ProcessExecutor", RecordingProcess)
+        return used
+
+    def _run(self, jobs):
+        return run_matrix(
+            RunConfig(
+                benchmark="arepair",
+                scale=0.05,
+                techniques=("ATR",),
+                jobs=jobs,
+                use_cache=False,
+            )
+        )
+
+    def test_auto_is_serial_for_one_job(self, backends):
+        self._run(jobs=1)
+        assert backends == ["serial"]
+
+    def test_auto_is_a_process_pool_for_many_jobs(self, backends):
+        self._run(jobs=4)
+        assert backends == [("process", 4)]
 
     def test_pool_executors_reject_zero_jobs(self):
-        with pytest.raises(ValueError):
-            ThreadExecutor(0)
         with pytest.raises(ValueError):
             ProcessExecutor(0)
 

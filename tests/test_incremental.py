@@ -9,6 +9,7 @@ set up here by patching :meth:`PropertyOracle._ensure_session` to return
 """
 
 import json
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -16,7 +17,8 @@ from repro.alloy.parser import parse_module
 from repro.alloy.resolver import resolve_module
 from repro.analyzer.session import OracleSession
 from repro.chaos.plan import FaultPlan, SiteConfig
-from repro.experiments.runner import RunConfig, run_matrix
+from repro.experiments.executor import ShardTask, execute_shard
+from repro.experiments.runner import ResultMatrix, RunConfig, run_matrix
 from repro.repair.base import PropertyOracle, RepairTask
 from repro.repair.mutation import Mutator
 from repro.sat.solver import SolveSession
@@ -156,20 +158,45 @@ def _payload_bytes(matrix) -> bytes:
     return json.dumps(payload, sort_keys=True).encode()
 
 
-def _run(**overrides) -> bytes:
+_TECHNIQUES = ("BeAFix", "ATR")
+
+
+def _run(**overrides):
     config = RunConfig(
         benchmark="arepair",
         scale=0.2,
-        techniques=("BeAFix", "ATR"),
+        techniques=_TECHNIQUES,
         use_cache=False,
         **overrides,
     )
     return run_matrix(config)
 
 
+def _run_on_threads(reference, chaos=None):
+    """Re-run ``reference``'s shards on a two-thread pool, the way the
+    service daemon's workers run them; returns a matrix-shaped result."""
+    shards = [
+        ShardTask(spec=spec, techniques=_TECHNIQUES, seed=0, chaos=chaos)
+        for spec in reference.specs
+    ]
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        results = list(pool.map(execute_shard, shards))
+    matrix = ResultMatrix(
+        benchmark=reference.benchmark,
+        seed=reference.seed,
+        scale=reference.scale,
+        specs=reference.specs,
+    )
+    for result in results:
+        matrix.outcomes[result.spec_id] = result.outcomes
+        matrix.chaos_events.extend(result.chaos_events)
+    return matrix
+
+
 class TestMatrixEquivalence:
     """run_matrix payloads are byte-identical with the session on or off,
-    and across executors, including under a chaos plan."""
+    serially, on pool threads and on the process pool, including under a
+    chaos plan."""
 
     def test_incremental_matches_scratch_bytes(self, monkeypatch):
         incremental = _run()
@@ -178,7 +205,7 @@ class TestMatrixEquivalence:
 
     def test_incremental_matches_across_executors(self):
         serial = _run()
-        threaded = _run(executor="thread", jobs=2)
+        threaded = _run_on_threads(serial)
         assert _payload_bytes(serial) == _payload_bytes(threaded)
 
     def test_chaos_schedule_identical_across_executors(self):
@@ -186,10 +213,10 @@ class TestMatrixEquivalence:
             seed=7, sites={"sat.budget": SiteConfig(probability=0.3)}
         )
         serial = _run(chaos=plan)
-        threaded = _run(chaos=plan, executor="thread", jobs=2)
+        threaded = _run_on_threads(serial, chaos=plan)
         assert _payload_bytes(serial) == _payload_bytes(threaded)
         assert serial.chaos_events == threaded.chaos_events
-        processed = _run(chaos=plan, executor="process", jobs=2)
+        processed = _run(chaos=plan, jobs=2)
         assert _payload_bytes(serial) == _payload_bytes(processed)
         assert serial.chaos_events == processed.chaos_events
 

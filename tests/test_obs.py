@@ -357,7 +357,6 @@ class TestTracedRuns:
                 **self.CONFIG,
                 trace_out=str(parallel_out),
                 jobs=2,
-                executor="process",
             )
         )
         serial = read_trace(serial_out)
@@ -375,23 +374,33 @@ class TestTracedRuns:
         assert serial.techniques() == ["ATR", "Single-Round_None"]
 
     def test_thread_executor_traced_run_smoke(self, tmp_path):
+        # Traced shards on pool threads (as the service daemon runs them)
+        # keep their span trees and metrics apart: merged the way the
+        # runner merges them, every spec contributes exactly one cell.
+        from concurrent.futures import ThreadPoolExecutor
+
+        from repro.benchmarks.cache import load_benchmark
+        from repro.experiments.executor import ShardTask, execute_shard
+
+        specs = load_benchmark("arepair", seed=0, scale=0.05)
+        shards = [
+            ShardTask(spec=spec, techniques=("ATR",), seed=0, trace=True)
+            for spec in specs
+        ]
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            results = list(pool.map(execute_shard, shards))
+        spans = []
+        metrics = MetricsRegistry()
+        for result in results:
+            spans.extend(Span.from_json(payload) for payload in result.spans)
+            metrics.merge(result.metrics)
         out = tmp_path / "threads.jsonl"
-        matrix = run_matrix(
-            RunConfig(
-                benchmark="arepair",
-                scale=0.05,
-                techniques=("ATR",),
-                use_cache=False,
-                trace_out=str(out),
-                jobs=2,
-                executor="thread",
-            )
-        )
+        write_trace(out, spans, metrics)
         data = read_trace(out)
         assert "cell" in data.span_names()
         cell_spans = [r for r in data.spans if r["name"] == "cell"]
-        assert len(cell_spans) == len(matrix.specs)
-        assert data.counter_total("repair.attempts") == len(matrix.specs)
+        assert len(cell_spans) == len(specs)
+        assert data.counter_total("repair.attempts") == len(specs)
         assert data.counter_total("sat.solves") > 0
 
     def test_trace_telemetry_reaches_the_matrix(self, tmp_path):

@@ -144,13 +144,13 @@ class TestGracefulInterrupt:
     def test_interrupt_flushes_partial_results_and_reraises(
         self, isolated_cache, capsys
     ):
-        # flush_every is huge, so the only way the first shard's cells
-        # reach the cache is the interrupt handler's explicit flush.
+        # The listener interrupts before the first shard's own flush, so
+        # the only way its cells reach the cache is the interrupt
+        # handler's explicit flush.
         config = RunConfig(
             benchmark="arepair",
             scale=0.1,
             techniques=("ATR",),
-            flush_every=10_000,
             listener=self._InterruptAfterFirstShard(),
         )
         with pytest.raises(KeyboardInterrupt):

@@ -182,6 +182,36 @@ class TestTokenBucket:
             TokenBucket(capacity=1, refill_rate=-1.0)
 
 
+class TestServiceConfigValidation:
+    """Tuning values the daemon could never honour fail at construction,
+    not on the first submission or deep inside the lease manager."""
+
+    @pytest.mark.parametrize(
+        "overrides, field",
+        [
+            (dict(bucket_capacity=0), "bucket_capacity"),
+            (dict(bucket_capacity=-2.0), "bucket_capacity"),
+            (dict(bucket_refill=-1.0), "bucket_refill"),
+            (dict(lease_ttl=0), "lease_ttl"),
+            (dict(lease_heartbeat=9.0), "lease_heartbeat"),
+            (dict(lease_heartbeat=5.0), "lease_heartbeat"),
+            (dict(lease_heartbeat=0.0), "lease_heartbeat"),
+            (dict(lease_ttl=2.0, lease_heartbeat=3.0), "lease_heartbeat"),
+        ],
+    )
+    def test_rejects(self, socket_dir, overrides, field):
+        with pytest.raises(ValueError, match=field):
+            _config(socket_dir, **overrides)
+
+    def test_accepts_boundary_values(self, socket_dir):
+        config = _config(
+            socket_dir, bucket_refill=0.0, lease_ttl=5.0, lease_heartbeat=4.9
+        )
+        assert config.bucket_refill == 0.0
+        assert config.lease_heartbeat == 4.9
+        assert _config(socket_dir).lease_heartbeat is None
+
+
 class TestAdmissionController:
     def test_full_queue_rejects_without_spending_tokens(self):
         now = [0.0]

@@ -152,10 +152,6 @@ class TestWatchdog:
         assert ProcessExecutor._watchdog_allowance([plain]) is None
         assert ProcessExecutor._watchdog_allowance([plain, timed]) == 7.0
 
-    def test_on_timeout_policy_is_validated(self):
-        with pytest.raises(ValueError, match="on_timeout"):
-            ProcessExecutor(jobs=2, on_timeout="bogus")
-
     def _shards(self):
         return [
             ShardTask(
@@ -179,39 +175,6 @@ class TestWatchdog:
         for salvaged in results[1:]:
             assert salvaged.outcomes["Hangy"].status == "not_fixed"
             assert salvaged.failures == []
-
-    def test_requeue_recovers_the_result_and_keeps_the_audit_record(self):
-        with registered("Hangy", lambda spec, seed: _Hangy()):
-            results = list(
-                ProcessExecutor(jobs=2, on_timeout="requeue").run(self._shards())
-            )
-        hung = results[0]
-        # The in-process rerun produced the real outcome...
-        assert hung.outcomes["Hangy"].status == "not_fixed"
-        # ...and the watchdog trip stays on the record.
-        (failure,) = hung.failures
-        assert failure.code == "shard.timeout"
-        assert failure.context["requeued"] is True
-
-    def test_requeued_shard_matches_a_direct_run(self):
-        # The salvage path is only trustworthy if the in-process rerun is
-        # the *same computation*: identical rep/tm/sm/status to executing
-        # the shard directly, watchdog involvement notwithstanding.
-        with registered("Hangy", lambda spec, seed: _Hangy()):
-            direct = execute_shard(
-                ShardTask(spec=make_spec("hung"), techniques=("Hangy",), seed=0)
-            )
-            results = list(
-                ProcessExecutor(jobs=2, on_timeout="requeue").run(self._shards())
-            )
-        hung = results[0]
-        assert {
-            t: (o.rep, o.tm, o.sm, o.status)
-            for t, o in hung.outcomes.items()
-        } == {
-            t: (o.rep, o.tm, o.sm, o.status)
-            for t, o in direct.outcomes.items()
-        }
 
 
 class TestTimeoutArtifactsStayOutOfTheCache:
