@@ -55,6 +55,7 @@ from repro.alloy.nodes import (
     UnivExpr,
     UnOp,
 )
+from repro.alloy.walk import clone
 
 INT_ARITY = 0
 """Pseudo-arity assigned to integer-valued expressions."""
@@ -259,8 +260,6 @@ class Resolver:
         ``sig S {...} { F }`` becomes ``fact { all this: S | F' }`` where
         ``F'`` replaces unshadowed bare references to fields of ``S`` (or an
         ancestor) by ``this.field`` — Alloy's receiver desugaring."""
-        import copy
-
         from repro.alloy.nodes import (
             BinaryExpr,
             BinOp,
@@ -281,7 +280,7 @@ class Resolver:
                 for name, info in self._fields.items()
                 if info.owner in ancestors
             }
-            body = copy.deepcopy(sig_decl.appended)
+            body = clone(sig_decl.appended)
             _rewrite_receiver_fields(body, own_fields, shadowed=set())
             formula = Quantified(
                 quant=Quant.ALL,

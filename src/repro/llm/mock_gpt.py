@@ -18,13 +18,14 @@ match the shape of the published study (see EXPERIMENTS.md).
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import random
 import re
 from dataclasses import dataclass
 
 from repro.alloy.errors import AlloyError
-from repro.alloy.nodes import Module
+from repro.alloy.nodes import Command, Module
 from repro.alloy.parser import parse_module
 from repro.alloy.pretty import print_module
 from repro.alloy.resolver import resolve_module
@@ -338,13 +339,10 @@ class MockGPT:
 
         With an ``assertion`` name (the Pass hint) only that check is probed;
         otherwise every check command is tried in order."""
-        import copy
-
-        from repro.alloy.nodes import Command
         from repro.analyzer.analyzer import Analyzer
 
         try:
-            analyzer = Analyzer(copy.deepcopy(module))
+            analyzer = Analyzer(module)
         except (AlloyError, RecursionError):
             return []
         targets: list[str] = []
@@ -549,20 +547,28 @@ class MockGPT:
         return ranked[0]
 
     def _mentally_verifies(self, module: Module) -> bool:
-        import copy
-
         from repro.analyzer.analyzer import Analyzer
 
-        try:
-            reduced = copy.deepcopy(module)
-            for paragraph in reduced.commands:
-                paragraph.default_scope = min(
-                    paragraph.default_scope, self.profile.self_check_scope
+        scope = self.profile.self_check_scope
+        # Only the commands change; every other paragraph is shared, since
+        # the analyzer never mutates its module.
+        reduced = dataclasses.replace(
+            module,
+            paragraphs=[
+                dataclasses.replace(
+                    p,
+                    default_scope=min(p.default_scope, scope),
+                    sig_scopes=[
+                        dataclasses.replace(s, bound=min(s.bound, scope))
+                        for s in p.sig_scopes
+                    ],
                 )
-                for sig_scope in paragraph.sig_scopes:
-                    sig_scope.bound = min(
-                        sig_scope.bound, self.profile.self_check_scope
-                    )
+                if isinstance(p, Command)
+                else p
+                for p in module.paragraphs
+            ],
+        )
+        try:
             analyzer = Analyzer(reduced)
         except (AlloyError, RecursionError):
             return False

@@ -155,12 +155,23 @@ class CircuitBuilder:
         if kind == "var":
             lit = payload  # type: ignore[assignment]
         else:
-            children = payload  # type: ignore[assignment]
-            child_lits = [self.to_literal(c) for c in children]
-            lit = self._solver.new_var()
+            # Children are checked against the memo here rather than in a
+            # recursive call; only unencoded children recurse.
+            literals = self._literals
+            to_literal = self.to_literal
+            child_lits: list[int] = []
+            for child in payload:  # type: ignore[union-attr]
+                node = child if child > 0 else -child
+                child_lit = literals.get(node)
+                if child_lit is None:
+                    child_lit = to_literal(node)
+                child_lits.append(child_lit if child > 0 else -child_lit)
+            solver = self._solver
+            lit = solver.new_var()
+            add_clause = solver.add_clause
             for child_lit in child_lits:
-                self._solver.add_clause([-lit, child_lit])
-            self._solver.add_clause([lit] + [-cl for cl in child_lits])
+                add_clause([-lit, child_lit])
+            add_clause([lit] + [-cl for cl in child_lits])
         self._literals[handle] = lit
         return lit
 

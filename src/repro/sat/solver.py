@@ -129,17 +129,23 @@ class SatSolver:
         """Attached (non-unit) clauses, including learned ones."""
         return len(self._clauses)
 
-    def _ensure_vars(self, lits: list[int]) -> None:
-        highest = max((abs(l) for l in lits), default=0)
-        while self._num_vars < highest:
-            self.new_var()
-
     def add_clause(self, lits: list[int]) -> None:
         """Add a clause; duplicate literals are merged, tautologies dropped."""
         if self._trail_limits:
             # Incremental use: drop back to the root level before mutating.
             self._backtrack(0)
-        self._ensure_vars(lits)
+        highest = 0
+        for lit in lits:
+            if lit > highest:
+                highest = lit
+            elif -lit > highest:
+                highest = -lit
+        while self._num_vars < highest:
+            self.new_var()
+        # At the root level every assigned variable is a level-0 fact, so a
+        # set value alone decides whether a literal is permanently true or
+        # false.
+        values = self._values
         seen: set[int] = set()
         reduced: list[int] = []
         for lit in lits:
@@ -149,9 +155,10 @@ class SatSolver:
                 return  # tautology
             if lit in seen:
                 continue
-            if self._value(lit) == _TRUE and self._levels[abs(lit)] == 0:
+            value = values[lit] if lit > 0 else -values[-lit]
+            if value == _TRUE:
                 return  # already satisfied forever
-            if self._value(lit) == _FALSE and self._levels[abs(lit)] == 0:
+            if value == _FALSE:
                 continue  # literal permanently false
             seen.add(lit)
             reduced.append(lit)
@@ -197,42 +204,71 @@ class SatSolver:
         return True
 
     def _propagate(self) -> int | None:
-        """Unit propagation; returns a conflicting clause index or ``None``."""
-        while self._propagate_head < len(self._trail):
-            lit = self._trail[self._propagate_head]
-            self._propagate_head += 1
-            self.stats.propagations += 1
+        """Unit propagation; returns a conflicting clause index or ``None``.
+
+        The hot loop of the solver: the value lookup and the enqueue of an
+        implied literal are inlined (same effect as :meth:`_value` and
+        :meth:`_enqueue`), and the propagation count is added to ``stats``
+        once on exit."""
+        values = self._values
+        levels = self._levels
+        reasons = self._reasons
+        phases = self._phases
+        watches = self._watches
+        clauses = self._clauses
+        trail = self._trail
+        level = len(self._trail_limits)
+        head = self._propagate_head
+        propagated = 0
+        conflict: int | None = None
+        while head < len(trail):
+            lit = trail[head]
+            head += 1
+            propagated += 1
             false_lit = -lit
-            watch_list = self._watches[false_lit]
+            watch_list = watches[false_lit]
             new_watch_list: list[int] = []
-            conflict: int | None = None
             for position, clause_index in enumerate(watch_list):
-                clause = self._clauses[clause_index]
+                clause = clauses[clause_index]
                 # Normalize: watched literals are clause[0] and clause[1].
-                if clause[0] == false_lit:
-                    clause[0], clause[1] = clause[1], clause[0]
-                if self._value(clause[0]) == _TRUE:
+                first = clause[0]
+                if first == false_lit:
+                    first = clause[1]
+                    clause[0] = first
+                    clause[1] = false_lit
+                first_value = values[first] if first > 0 else -values[-first]
+                if first_value == _TRUE:
                     new_watch_list.append(clause_index)
                     continue
                 # Look for a replacement watch.
                 replaced = False
                 for k in range(2, len(clause)):
-                    if self._value(clause[k]) != _FALSE:
-                        clause[1], clause[k] = clause[k], clause[1]
-                        self._watches[clause[1]].append(clause_index)
+                    other = clause[k]
+                    if (values[other] if other > 0 else -values[-other]) != _FALSE:
+                        clause[k] = clause[1]
+                        clause[1] = other
+                        watches[other].append(clause_index)
                         replaced = True
                         break
                 if replaced:
                     continue
                 new_watch_list.append(clause_index)
-                if not self._enqueue(clause[0], clause_index):
+                if first_value == _FALSE:
                     conflict = clause_index
                     new_watch_list.extend(watch_list[position + 1 :])
                     break
-            self._watches[false_lit] = new_watch_list
+                var = first if first > 0 else -first
+                values[var] = _TRUE if first > 0 else _FALSE
+                levels[var] = level
+                reasons[var] = clause_index
+                phases[var] = first > 0
+                trail.append(first)
+            watches[false_lit] = new_watch_list
             if conflict is not None:
-                return conflict
-        return None
+                break
+        self._propagate_head = head
+        self.stats.propagations += propagated
+        return conflict
 
     # -- conflict analysis ---------------------------------------------------
 

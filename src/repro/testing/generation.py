@@ -10,9 +10,10 @@ which is exactly the failure mode the paper attributes to it.
 
 from __future__ import annotations
 
+import dataclasses
 import random
 
-from repro.alloy.nodes import Block, Command, Not
+from repro.alloy.nodes import Block, Command, FactDecl, Not
 from repro.analyzer.analyzer import Analyzer
 from repro.analyzer.instance import Instance
 from repro.testing.aunit import FACTS_TARGET, AUnitTest, TestSuite
@@ -95,15 +96,15 @@ def _sample_negative_instances(
     asserted during this solve because :meth:`Analyzer.solutions` always
     asserts them — so we solve on a shadow module without facts.
     """
-    import copy
-
-    from repro.alloy.nodes import FactDecl
-
-    shadow_module = copy.deepcopy(analyzer.module)
-    shadow_module.paragraphs = [
-        p for p in shadow_module.paragraphs if not isinstance(p, FactDecl)
-    ]
-    shadow = Analyzer(shadow_module)
+    module = analyzer.module
+    shadow = Analyzer(
+        dataclasses.replace(
+            module,
+            paragraphs=[
+                p for p in module.paragraphs if not isinstance(p, FactDecl)
+            ],
+        )
+    )
     return _sample_instances(shadow, command, limit, rng)
 
 

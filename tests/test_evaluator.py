@@ -5,6 +5,7 @@ import pytest
 from repro.alloy.errors import EvaluationError
 from repro.alloy.parser import parse_expr, parse_formula, parse_module
 from repro.alloy.resolver import resolve_module
+from repro.analyzer.analyzer import Analyzer
 from repro.analyzer.evaluator import Evaluator
 from repro.analyzer.instance import make_instance
 
@@ -170,3 +171,24 @@ class TestFormulas:
     def test_facts_fail_on_empty_instance(self, info):
         empty = make_instance({"Node": set(), "Tag": set(), "next": set(), "tags": set()})
         assert not Evaluator(info, empty).facts_hold()
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason=(
+        "Evaluator._bindings evaluates every binder's bound without the "
+        "earlier binders of the same quantifier, while the translator "
+        "(Translator._expand) binds them in turn; fixing it moves pinned "
+        "perfbench cells, so it waits for a re-pinning change"
+    ),
+)
+def test_dependent_binder_bounds():
+    """A bound may name an earlier binder of the same quantifier
+    (``all x: A, y: x.f | ...``); every analyzer instance must satisfy
+    the facts under the independent evaluator."""
+    source = "sig A { f: set A } fact { all x: A, y: x.f | y != x } run {} for 3"
+    analyzer = Analyzer(source)
+    result = analyzer.run_command(analyzer.info.commands[0], max_instances=3)
+    assert len(result.instances) == 3
+    for found in result.instances:
+        assert Evaluator(analyzer.info, found).facts_hold()

@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.alloy.parser import parse_module
+from repro.alloy.pretty import print_module
 from repro.llm.client import Conversation
 from repro.llm.extract import try_extract_module
 from repro.llm.mock_gpt import (
@@ -161,3 +163,32 @@ class TestHintParsing:
         instances = MockGPT._parse_feedback_instances(text)
         assert len(instances) == 1
         assert ("Node$0", "Node$1") in instances[0].relation("next")
+
+
+class TestSelfCheckLeavesTheCandidateAlone:
+    """The self-check lowers command scopes on its own copy: the caller's
+    module must come back unchanged."""
+
+    SPEC = """
+sig A { f: set A }
+fact Acyclic { all a: A | a !in a.^f }
+pred Grow { some f }
+run Grow for 5 but 4 A expect 1
+check { no iden & f } for 6 expect 0
+"""
+
+    def test_mentally_verifies_keeps_command_scopes(self):
+        module = parse_module(self.SPEC)
+        before = print_module(module)
+        scopes = [
+            (c.default_scope, [(s.sig, s.bound) for s in c.sig_scopes])
+            for c in module.commands
+        ]
+        gpt = MockGPT(seed=0)
+        assert gpt.profile.self_check_scope < 4
+        gpt._mentally_verifies(module)
+        assert print_module(module) == before
+        assert [
+            (c.default_scope, [(s.sig, s.bound) for s in c.sig_scopes])
+            for c in module.commands
+        ] == scopes

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.alloy.parser import parse_module
+from repro.alloy.pretty import print_module
 from repro.alloy.resolver import resolve_module
 from repro.analyzer.analyzer import Analyzer
 from repro.analyzer.evaluator import Evaluator
@@ -120,3 +121,16 @@ class TestGeneration:
         assert not cex.expect and cex.target == FACTS_TARGET
         wit = witness_test(GOOD, "w")
         assert wit.expect
+
+
+def test_negative_sampling_keeps_the_oracle_facts(linked_list_spec):
+    """Negative tests are solved on a fact-free shadow of the oracle; the
+    oracle module itself must keep its facts."""
+    oracle = Analyzer(parse_module(linked_list_spec))
+    paragraphs = list(oracle.module.paragraphs)
+    before = print_module(oracle.module)
+    suite = generate_suite(oracle, negatives=2, seed=0)
+    assert any(not test.expect for test in suite.tests)
+    assert oracle.module.paragraphs == paragraphs
+    assert all(a is b for a, b in zip(oracle.module.paragraphs, paragraphs))
+    assert print_module(oracle.module) == before

@@ -1,11 +1,14 @@
-"""AST traversal/rewrite tests: paths, replacement, removal."""
+"""AST traversal/rewrite tests: paths, replacement, removal, cloning."""
+
+import copy
 
 import pytest
 
-from repro.alloy.nodes import Compare, NameExpr, Not, Quantified
+from repro.alloy.nodes import Compare, Module, NameExpr, Node, Not, Quantified
 from repro.alloy.parser import parse_module
 from repro.alloy.pretty import print_module
 from repro.alloy.walk import (
+    clone,
     count_nodes,
     find_paths,
     get_at,
@@ -14,6 +17,7 @@ from repro.alloy.walk import (
     remove_at,
     replace_at,
 )
+from repro.benchmarks.models import all_models
 
 
 @pytest.fixture
@@ -97,3 +101,39 @@ class TestRemoveInsert:
         )
         new_block = get_at(new_module, block_path)
         assert len(new_block.formulas) == before + 1
+
+
+def _containers(node: Node) -> list[object]:
+    """Every Node and list object reachable from ``node``."""
+    found: list[object] = []
+    for current in node.walk():
+        found.append(current)
+        found.extend(v for v in vars(current).values() if isinstance(v, list))
+    return found
+
+
+class TestClone:
+    """``clone`` must equal ``copy.deepcopy`` on every node of every corpus
+    model — positions included — while sharing no mutable object."""
+
+    @pytest.mark.parametrize("model", all_models(), ids=lambda m: m.name)
+    def test_clone_matches_deepcopy_on_corpus(self, model):
+        module = parse_module(model.source)
+        for _, node in iter_paths(module):
+            cloned = clone(node)
+            reference = copy.deepcopy(node)
+            assert cloned == reference
+            # ``pos`` is excluded from ``==``; the repr includes it.
+            assert repr(cloned) == repr(reference)
+            shared = {id(o) for o in _containers(node)} & {
+                id(o) for o in _containers(cloned)
+            }
+            assert not shared
+        cloned = clone(module)
+        assert isinstance(cloned, Module)
+        assert print_module(cloned) == print_module(copy.deepcopy(module))
+
+    def test_clone_does_not_alias_the_input(self, module):
+        cloned = clone(module)
+        cloned.paragraphs[-1].body.formulas.clear()
+        assert module.paragraphs[-1].body.formulas
