@@ -27,7 +27,9 @@ Drills run inside a temporary ``REPRO_CACHE_DIR`` so they never touch
 (or trust) the user's caches.  The report is plain JSON written with
 sorted keys and **no** timestamps, durations, or paths — two runs with
 the same seed must produce byte-identical reports, which is itself one
-of the determinism guarantees CI pins.
+of the determinism guarantees CI pins.  The service and cluster suites
+(:mod:`repro.service.drill`) share this module's site check, report
+assembly and renderer: each is a :class:`Suite` plus a list of drills.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from repro.chaos.inject import install
 from repro.chaos.plan import SITES, FaultPlan, SiteConfig
@@ -116,19 +118,25 @@ def _temp_cache() -> Iterator[Path]:
                 os.environ["REPRO_CACHE_DIR"] = previous
 
 
-def matrix_payload(matrix) -> dict:
-    """The determinism-relevant projection of a matrix: everything except
-    wall-clock fields, sorted for stable comparison and JSON emission."""
+def outcome_row(row: dict) -> dict:
+    """The determinism-relevant projection of one spec's outcomes
+    (technique → ``SpecOutcome``): everything except wall-clock fields,
+    sorted for stable comparison and JSON emission."""
     return {
-        spec_id: {
-            technique: {
-                "rep": outcome.rep,
-                "tm": round(outcome.tm, 9),
-                "sm": round(outcome.sm, 9),
-                "status": outcome.status,
-            }
-            for technique, outcome in sorted(row.items())
+        technique: {
+            "rep": outcome.rep,
+            "tm": round(outcome.tm, 9),
+            "sm": round(outcome.sm, 9),
+            "status": outcome.status,
         }
+        for technique, outcome in sorted(row.items())
+    }
+
+
+def matrix_payload(matrix) -> dict:
+    """:func:`outcome_row` of every spec in a matrix, sorted by spec."""
+    return {
+        spec_id: outcome_row(row)
         for spec_id, row in sorted(matrix.outcomes.items())
     }
 
@@ -514,37 +522,79 @@ def timeout_drill(seed: int, jobs: int, scale: float) -> DrillResult:
 # -- orchestration ------------------------------------------------------------
 
 
-def run_drills(
-    seed: int = 0,
-    sites: Iterable[str] | None = None,
-    jobs: int = 2,
-    scale: float = 0.05,
+@dataclass(frozen=True)
+class Suite:
+    """What tells one drill suite's report apart from another's."""
+
+    schema: str
+    """Stamped into the report; bump on any shape change."""
+    title: str
+    held: str
+    """The summary's verdict when every drill held."""
+    header: tuple[str, ...]
+    """Report keys shown on the summary's first line, before the site
+    count."""
+    report_file: str
+    """Where ``repro chaos`` writes the report unless told otherwise."""
+
+
+ENGINE_SUITE = Suite(
+    schema=CHAOS_SCHEMA,
+    title="CHAOS",
+    held="all invariants held",
+    header=("seed", "jobs", "scale"),
+    report_file="chaos-report.json",
+)
+
+
+def run_suite(
+    suite: Suite,
+    sites: Iterable[str] | None,
+    drills: Iterable[Callable[[set[str]], DrillResult]],
+    **header,
 ) -> dict:
-    """Run every applicable drill and assemble the deterministic report."""
+    """Check the sites (default: all), run each drill on them in order,
+    and assemble the deterministic report.  An unknown site is refused
+    before any drill starts."""
     requested = set(sites) if sites is not None else set(SITES)
     unknown = requested - set(SITES)
     if unknown:
         raise ValueError(
             f"unknown injection site(s): {', '.join(sorted(unknown))}"
         )
-    drills = [
-        equivalence_drill(seed, requested, jobs, scale),
-        persist_drill(seed, requested),
-        retry_drill(seed, requested, scale),
-        resume_drill(seed, scale),
-        timeout_drill(seed, jobs, scale),
-    ]
-    violations = sum(len(drill.violations) for drill in drills)
+    results = [drill(requested) for drill in drills]
+    violations = sum(len(drill.violations) for drill in results)
     return {
-        "schema": CHAOS_SCHEMA,
-        "seed": seed,
-        "jobs": jobs,
-        "scale": scale,
+        "schema": suite.schema,
+        **header,
         "sites": sorted(requested),
-        "drills": [drill.to_json() for drill in drills],
+        "drills": [drill.to_json() for drill in results],
         "violations": violations,
         "ok": violations == 0,
     }
+
+
+def run_drills(
+    seed: int = 0,
+    sites: Iterable[str] | None = None,
+    jobs: int = 2,
+    scale: float = 0.05,
+) -> dict:
+    """Run every applicable engine drill and assemble the report."""
+    return run_suite(
+        ENGINE_SUITE,
+        sites,
+        [
+            lambda requested: equivalence_drill(seed, requested, jobs, scale),
+            lambda requested: persist_drill(seed, requested),
+            lambda requested: retry_drill(seed, requested, scale),
+            lambda requested: resume_drill(seed, scale),
+            lambda requested: timeout_drill(seed, jobs, scale),
+        ],
+        seed=seed,
+        jobs=jobs,
+        scale=scale,
+    )
 
 
 def write_report(path: Path, report: dict) -> None:
@@ -553,12 +603,15 @@ def write_report(path: Path, report: dict) -> None:
     path.write_text(json.dumps(report, sort_keys=True, indent=2) + "\n")
 
 
-def render_report(report: dict) -> str:
-    """The human-readable summary printed by ``repro chaos``."""
-    lines = [
-        f"CHAOS — seed={report['seed']} jobs={report['jobs']} "
-        f"scale={report['scale']:g} sites={len(report['sites'])}"
+def render_report(report: dict, suite: Suite) -> str:
+    """The human-readable summary ``repro chaos`` prints for ``suite``."""
+    fields = [
+        f"{key}={report[key]:g}" if isinstance(report[key], float)
+        else f"{key}={report[key]}"
+        for key in suite.header
     ]
+    fields.append(f"sites={len(report['sites'])}")
+    lines = [f"{suite.title} — {' '.join(fields)}"]
     for drill in report["drills"]:
         if drill["skipped"]:
             status = "SKIP"
@@ -568,9 +621,7 @@ def render_report(report: dict) -> str:
         for violation in drill["violations"]:
             lines.append(f"         - {violation}")
     verdict = (
-        "all invariants held"
-        if report["ok"]
-        else f"{report['violations']} violation(s)"
+        suite.held if report["ok"] else f"{report['violations']} violation(s)"
     )
     lines.append(f"  {verdict}")
     return "\n".join(lines)

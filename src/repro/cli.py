@@ -307,24 +307,31 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="FILE.json",
         help="where to write the JSON report (deterministic bytes: two "
         "same-seed runs produce identical files); default "
-        "chaos-report.json, or service-chaos-report.json with --service",
+        "chaos-report.json, or service-/cluster-chaos-report.json with "
+        "--service/--cluster",
     )
     chaos.add_argument(
         "--list-sites",
         action="store_true",
         help="print the known injection sites and exit",
     )
-    chaos.add_argument(
+    suite = chaos.add_mutually_exclusive_group()
+    suite.add_argument(
         "--service",
-        action="store_true",
+        dest="suite",
+        action="store_const",
+        const="service",
+        default="engine",
         help="drill the live service daemon instead of the batch engine: "
         "availability under all injection sites, backpressure, circuit "
         "breakers, drain/resume (report defaults to "
         "service-chaos-report.json)",
     )
-    chaos.add_argument(
+    suite.add_argument(
         "--cluster",
-        action="store_true",
+        dest="suite",
+        action="store_const",
+        const="cluster",
         help="drill a replicated service tier: kill -9 a random replica "
         "mid-job under the full fault plan and assert zero lost jobs, no "
         "double commits, and fencing monotonicity (report defaults to "
@@ -390,12 +397,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="FILE.json",
         help="drain checkpoint path (default: <socket>.state.json)",
-    )
-    serve.add_argument(
-        "--no-store",
-        action="store_true",
-        help="do not persist completed cells to the incremental result "
-        "store (disables restart resume of finished work)",
     )
     serve.add_argument(
         "--cluster-dir",
@@ -893,47 +894,43 @@ def _cmd_chaos(args) -> int:
     from pathlib import Path
 
     from repro.chaos import SITES
-    from repro.chaos.harness import render_report, run_drills, write_report
+    from repro.chaos.harness import (
+        ENGINE_SUITE,
+        render_report,
+        run_drills,
+        write_report,
+    )
+    from repro.service.drill import (
+        CLUSTER_SUITE,
+        SERVICE_SUITE,
+        run_cluster_drills,
+        run_service_drills,
+    )
 
     if args.list_sites:
         width = max(len(name) for name in SITES)
         for name in sorted(SITES):
             print(f"{name:<{width}}  {SITES[name]}")
         return EXIT_OK
-    if args.cluster:
-        from repro.service.drill import (
-            render_cluster_report,
-            run_cluster_drills,
-        )
-
-        report = run_cluster_drills(
-            seed=args.seed, sites=args.sites, scale=args.scale
-        )
-        report_path = args.report or "cluster-chaos-report.json"
-        write_report(Path(report_path), report)
-        print(render_cluster_report(report))
-        print(f"(report written to {report_path})", file=sys.stderr)
-        return EXIT_OK if report["ok"] else EXIT_FAILURE
-    if args.service:
-        from repro.service.drill import (
-            render_service_report,
-            run_service_drills,
-        )
-
-        report = run_service_drills(
-            seed=args.seed, sites=args.sites, scale=args.scale
-        )
-        report_path = args.report or "service-chaos-report.json"
-        write_report(Path(report_path), report)
-        print(render_service_report(report))
-        print(f"(report written to {report_path})", file=sys.stderr)
-        return EXIT_OK if report["ok"] else EXIT_FAILURE
-    report = run_drills(
-        seed=args.seed, sites=args.sites, jobs=args.jobs, scale=args.scale
-    )
-    report_path = args.report or "chaos-report.json"
+    suites = {
+        "engine": (
+            ENGINE_SUITE,
+            lambda: run_drills(args.seed, args.sites, args.jobs, args.scale),
+        ),
+        "service": (
+            SERVICE_SUITE,
+            lambda: run_service_drills(args.seed, args.sites, args.scale),
+        ),
+        "cluster": (
+            CLUSTER_SUITE,
+            lambda: run_cluster_drills(args.seed, args.sites, args.scale),
+        ),
+    }
+    suite, run = suites[args.suite]
+    report = run()
+    report_path = args.report or suite.report_file
     write_report(Path(report_path), report)
-    print(render_report(report))
+    print(render_report(report, suite))
     print(f"(report written to {report_path})", file=sys.stderr)
     return EXIT_OK if report["ok"] else EXIT_FAILURE
 
@@ -979,7 +976,6 @@ def _service_config(args, chaos):
         bucket_refill=args.bucket_refill,
         job_timeout=job_timeout,
         state_path=args.state,
-        use_store=not args.no_store,
         chaos=chaos,
         cluster_dir=args.cluster_dir,
         replica_id=args.replica_id,

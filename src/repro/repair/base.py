@@ -164,33 +164,24 @@ class PropertyOracle:
         shard by the executor) the cache is additionally shared across
         *tools*: BeAFix's verdicts replay for the canonically-equal
         candidates ATR's templates re-derive, keyed by the task
-        fingerprint so distinct tasks never collide.
-
-        Under an active chaos scope the replay is suppressed entirely:
-        fault sites trigger per solver invocation, so skipping real solves
-        would shift the deterministic fault schedule away from an arm
-        that solves every candidate.  Chaos drills measure resilience, not
-        throughput — they pay for the full solver stream."""
+        fingerprint so distinct tasks never collide."""
         self.queries += 1
-        cache: dict | None = None
-        cache_key: object = None
-        if chaos.active() is None:
-            key = canonical_key(module, self._task.info)
-            if key is not None:
-                shared = shared_verdicts()
-                if shared is not None:
-                    cache = shared
-                    cache_key = ("verdict", self._task_fingerprint, key)
-                else:
-                    cache = self._verdict_cache
-                    cache_key = key
-                cached = cache.get(cache_key)
-                if cached is not None:
-                    record_dedup_hit()
-                    return cached
+        key = canonical_key(module, self._task.info)
+        if key is None:
+            return self._evaluate_uncached(module)
+        shared = shared_verdicts()
+        if shared is not None:
+            cache = shared
+            cache_key: object = ("verdict", self._task_fingerprint, key)
+        else:
+            cache = self._verdict_cache
+            cache_key = key
+        cached = cache.get(cache_key)
+        if cached is not None:
+            record_dedup_hit()
+            return cached
         verdict = self._evaluate_uncached(module)
-        if cache is not None:
-            cache[cache_key] = verdict
+        cache[cache_key] = verdict
         return verdict
 
     def _evaluate_uncached(
@@ -265,31 +256,27 @@ class PropertyOracle:
         per-command count as the original run, keeping every tool's
         budget traversal byte-identical to an unshared run.
         """
-        cache: dict | None = None
+        cache = shared_verdicts()
         cache_key: object = None
-        if chaos.active() is None:
-            cache = shared_verdicts()
-            if cache is not None:
-                try:
-                    text = print_module(module)
-                except Exception:
-                    cache = None
-                else:
-                    cache_key = (
-                        "evidence",
-                        self._task_fingerprint,
-                        hashlib.sha256(
-                            text.encode("utf-8", "replace")
-                        ).hexdigest(),
-                        max_instances,
-                    )
-                    entry = cache.get(cache_key)
-                    if entry is not None:
-                        evidence, skipped_queries = entry
-                        self.queries += skipped_queries
-                        if skipped_queries:
-                            record_dedup_hit(skipped_queries)
-                        return evidence
+        if cache is not None:
+            try:
+                text = print_module(module)
+            except Exception:
+                cache = None
+            else:
+                cache_key = (
+                    "evidence",
+                    self._task_fingerprint,
+                    hashlib.sha256(text.encode("utf-8", "replace")).hexdigest(),
+                    max_instances,
+                )
+                entry = cache.get(cache_key)
+                if entry is not None:
+                    evidence, skipped_queries = entry
+                    self.queries += skipped_queries
+                    if skipped_queries:
+                        record_dedup_hit(skipped_queries)
+                    return evidence
         queries_before = self.queries
         try:
             analyzer = Analyzer(module)

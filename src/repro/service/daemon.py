@@ -39,6 +39,7 @@ import collections
 import contextlib
 import hashlib
 import json
+import math
 import os
 import signal
 import threading
@@ -91,6 +92,9 @@ _SIZE_WEIGHT = 1e-6
 when the store holds no timings for the spec — small enough that any real
 measurement dominates it."""
 
+_RECLAIM_INTERVAL = 0.5
+"""Seconds between a cluster replica's scans for orphaned jobs to adopt."""
+
 
 @dataclass(frozen=True)
 class ServiceConfig:
@@ -111,14 +115,10 @@ class ServiceConfig:
     cooperating."""
     state_path: str | None = None
     """Drain checkpoint destination; default ``<socket>.state.json``."""
-    use_store: bool = True
-    """Flush completed cells to the incremental result store (and serve
-    repeat/resumed jobs from it)."""
     chaos: FaultPlan | None = None
     """Fault-injection plan installed around every job execution and
     store flush — how ``repro chaos --service`` drills the live daemon."""
     breaker: BreakerConfig = field(default_factory=BreakerConfig)
-    allow_adhoc: bool = True
     cluster_dir: str | None = None
     """Shared cluster directory.  Set ⇒ this daemon is one replica of a
     fleet: jobs are journaled in the shared ledger, owned via fenced
@@ -130,8 +130,6 @@ class ServiceConfig:
     """Seconds a lease lives without renewal before peers may adopt."""
     lease_heartbeat: float | None = None
     """Renewal interval; default ``lease_ttl / 3``."""
-    reclaim_interval: float = 0.5
-    """How often the health loop scans for orphaned jobs to adopt."""
 
     def __post_init__(self) -> None:
         if self.workers < 1:
@@ -156,10 +154,6 @@ class ServiceConfig:
             raise ValueError(
                 f"lease_heartbeat must be in (0, lease_ttl={self.lease_ttl:g}), "
                 f"got {self.lease_heartbeat}"
-            )
-        if self.reclaim_interval <= 0:
-            raise ValueError(
-                f"reclaim_interval must be > 0, got {self.reclaim_interval}"
             )
 
     @property
@@ -269,11 +263,14 @@ class ResultStore:
 
 
 def percentile(values: list[float], q: float) -> float:
-    """Nearest-rank percentile (the SLO drill's p99 definition)."""
+    """Nearest-rank percentile (the SLO drill's p99 definition): the
+    smallest value with at least ``q`` of the sample at or below it."""
     if not values:
         return 0.0
     ordered = sorted(values)
-    rank = max(1, int(round(q * len(ordered) + 0.5)))
+    # Rounding first keeps float noise (0.07 * 100 == 7.000000000000001)
+    # from pushing an exact rank up by one.
+    rank = max(1, math.ceil(round(q * len(ordered), 9)))
     return ordered[min(rank, len(ordered)) - 1]
 
 
@@ -315,11 +312,7 @@ class ReproService:
                 self.cluster.leases, on_lost=self._on_lease_lost
             )
             quota_store = QuotaStore(Path(config.cluster_dir))
-        self.store = (
-            ResultStore(config)
-            if config.use_store and not config.clustered
-            else None
-        )
+        self.store = None if config.clustered else ResultStore(config)
         self.admission = AdmissionController(
             max_queue=config.max_queue,
             bucket_capacity=config.bucket_capacity,
@@ -345,8 +338,8 @@ class ReproService:
         self._seq = 0
         self.chaos_events: list[dict] = []
         """Every injected fault that fired in job executions (chaos
-        daemons only) — the drill's audit trail, merged with the store's
-        flush-scope events by :meth:`all_chaos_events`."""
+        daemons only) — the drill's audit trail; store flushes keep their
+        own in :attr:`ResultStore.events`."""
         self._draining = False
         self._loop: asyncio.AbstractEventLoop | None = None
         self._done: asyncio.Event | None = None
@@ -371,13 +364,6 @@ class ReproService:
     def jobs_corpus_ids(self) -> list[str]:
         """Spec ids of the loaded benchmark corpus."""
         return list(self._specs)
-
-    def all_chaos_events(self) -> list[dict]:
-        """Job-execution plus store-flush fault events (audit trail)."""
-        events = list(self.chaos_events)
-        if self.store is not None:
-            events.extend(self.store.events)
-        return events
 
     @property
     def draining(self) -> bool:
@@ -448,10 +434,6 @@ class ReproService:
                 f"not {spec.benchmark!r}",
                 code="service.wrong_benchmark",
             )
-        if spec.benchmark == "adhoc" and not self.config.allow_adhoc:
-            return None, error_frame(
-                "ad-hoc jobs are disabled", code="service.adhoc_disabled"
-            )
         if spec.benchmark != "adhoc" and spec.spec_id not in self._specs:
             return None, error_frame(
                 f"unknown spec {spec.spec_id!r}", code="service.unknown_spec"
@@ -503,10 +485,8 @@ class ReproService:
                         )
                     self._publish(record)
                     return record, ack_frame(job_id, record.state)
-        elif (
-            self.store is not None
-            and spec.benchmark != "adhoc"
-            and not self.store.missing(spec.spec_id, spec.techniques)
+        elif spec.benchmark != "adhoc" and not self.store.missing(
+            spec.spec_id, spec.techniques
         ):
             # Restart-resume fast path: every cell already flushed — the
             # job completes without touching the pool.
@@ -549,10 +529,8 @@ class ReproService:
         if spec.benchmark != "adhoc":
             if self.cluster is not None:
                 row = self.cluster.lookup(spec.spec_id)
-            elif self.store is not None:
-                row = self.store.cells.get(spec.spec_id, {})
             else:
-                row = {}
+                row = self.store.cells.get(spec.spec_id, {})
             known = sum(cell.get("elapsed", 0.0) for cell in row.values())
             if known > 0:
                 return known
@@ -601,7 +579,7 @@ class ReproService:
                 techniques = self.cluster.missing(
                     record.spec.spec_id, record.spec.techniques
                 )
-            elif self.store is not None:
+            else:
                 techniques = self.store.missing(
                     record.spec.spec_id, record.spec.techniques
                 )
@@ -813,7 +791,7 @@ class ReproService:
             if (
                 self.cluster is not None
                 and time.monotonic() - last_reclaim
-                >= self.config.reclaim_interval
+                >= _RECLAIM_INTERVAL
             ):
                 last_reclaim = time.monotonic()
                 self._reclaim_orphans()
@@ -893,8 +871,7 @@ class ReproService:
         else:
             with contextlib.suppress(OSError):
                 state_path.unlink()
-        if self.store is not None:
-            self.store.flush()
+        self.store.flush()
 
     def _resume_from_checkpoint(self) -> None:
         """Re-enqueue every checkpointed job, bypassing admission (they

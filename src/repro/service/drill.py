@@ -56,8 +56,16 @@ import threading
 import time
 from pathlib import Path
 
-from repro.chaos.harness import DrillResult, _events_by_site, _temp_cache
-from repro.chaos.plan import SITES, FaultPlan, SiteConfig
+from repro.benchmarks.cache import load_benchmark
+from repro.chaos.harness import (
+    DrillResult,
+    Suite,
+    _events_by_site,
+    _temp_cache,
+    outcome_row,
+    run_suite,
+)
+from repro.chaos.plan import FaultPlan, SiteConfig
 from repro.experiments.executor import ShardTask, execute_shard
 from repro.service.admission import QuotaStore
 from repro.service.breaker import BreakerConfig, CircuitBreaker
@@ -80,6 +88,22 @@ from repro.service.protocol import (
 
 SERVICE_CHAOS_SCHEMA = "repro-service-chaos/1"
 """Stamped into every service chaos report; bump on any shape change."""
+
+SERVICE_SUITE = Suite(
+    schema=SERVICE_CHAOS_SCHEMA,
+    title="SERVICE CHAOS",
+    held="availability SLO held",
+    header=("seed", "scale"),
+    report_file="service-chaos-report.json",
+)
+
+CLUSTER_SUITE = Suite(
+    schema=CLUSTER_REPORT_SCHEMA,
+    title="CLUSTER CHAOS",
+    held="failover invariants held",
+    header=("seed", "scale", "replicas"),
+    report_file="cluster-chaos-report.json",
+)
 
 AVAILABILITY_SITES: dict[str, SiteConfig] = {
     "sat.budget": SiteConfig(probability=0.05, max_fires=2),
@@ -119,35 +143,30 @@ def _cells_payload(outcomes: dict[str, dict]) -> dict:
 
 def _reference_execution(
     spec_ids: list[str],
-    service,
+    scale: float,
     techniques: tuple[str, ...],
     seed: int,
     plan: FaultPlan | None,
 ) -> tuple[dict, list[dict]]:
-    """Run every job directly through the engine — the ground truth the
-    service's results must match bit-for-bit."""
+    """Run every job directly through the engine, with no deadline — the
+    ground truth the service's results must match bit-for-bit."""
+    specs = {
+        spec.spec_id: spec
+        for spec in load_benchmark("arepair", seed=seed, scale=scale)
+    }
     payload: dict[str, dict] = {}
     events: list[dict] = []
     for spec_id in spec_ids:
         result = execute_shard(
             ShardTask(
-                spec=service._specs[spec_id],
+                spec=specs[spec_id],
                 techniques=techniques,
                 seed=seed,
-                shard_timeout=service.config.job_timeout,
                 chaos=plan,
             )
         )
         events.extend(result.chaos_events)
-        payload[spec_id] = {
-            technique: {
-                "rep": o.rep,
-                "tm": round(o.tm, 9),
-                "sm": round(o.sm, 9),
-                "status": o.status,
-            }
-            for technique, o in sorted(result.outcomes.items())
-        }
+        payload[spec_id] = outcome_row(result.outcomes)
     return payload, events
 
 
@@ -203,9 +222,7 @@ def availability_drill(
                 for spec_id, record in sorted(records.items())
             }
             service_events = list(service.chaos_events)
-            store_events = (
-                list(service.store.events) if service.store else []
-            )
+            flush_events = list(service.store.events)
             stats = service.stats()
         finally:
             handle.drain()
@@ -233,11 +250,7 @@ def availability_drill(
 
     with _temp_cache():
         reference_payload, reference_events = _reference_execution(
-            spec_ids,
-            _reference_service(seed, scale, plan),
-            AVAILABILITY_TECHNIQUES,
-            seed,
-            plan,
+            spec_ids, scale, AVAILABILITY_TECHNIQUES, seed, plan
         )
     if service_payload != reference_payload:
         diverging = sorted(
@@ -254,7 +267,7 @@ def availability_drill(
             f"{_events_by_site(service_events)} != "
             f"{_events_by_site(reference_events)}"
         )
-    all_events = service_events + store_events
+    all_events = service_events + flush_events
     fired = {event["site"] for event in all_events}
     for site in active:
         if site not in fired:
@@ -277,27 +290,6 @@ def availability_drill(
         "payload": service_payload,
     }
     return drill
-
-
-def _reference_service(seed: int, scale: float, plan):
-    """A throwaway daemon-shaped object for spec lookup in the reference
-    run — never started, just the loaded corpus and config."""
-    from repro.service.daemon import ReproService
-
-    with _temp_cache(), _socket_dir() as sock_dir:
-        service = ReproService(
-            ServiceConfig(
-                socket=str(Path(sock_dir) / "ref.sock"),
-                benchmark="arepair",
-                scale=scale,
-                seed=seed,
-                job_timeout=None,
-                use_store=False,
-                chaos=plan,
-            )
-        )
-        service.pool.stop()  # only the loaded corpus is needed
-        return service
 
 
 def backpressure_drill(seed: int, scale: float) -> DrillResult:
@@ -433,7 +425,6 @@ def breaker_drill(seed: int, requested: set[str], scale: float) -> DrillResult:
             seed=seed,
             workers=1,
             job_timeout=None,
-            use_store=False,
             chaos=plan,
             breaker=breaker_config,
         )
@@ -628,7 +619,7 @@ def drain_resume_drill(seed: int, scale: float) -> DrillResult:
 
         # Ground truth: the same cells straight through the engine.
         reference_payload, _ = _reference_execution(
-            spec_ids, service_a, techniques, seed, None
+            spec_ids, scale, techniques, seed, None
         )
         if resumed_payload != reference_payload:
             drill.violations.append(
@@ -930,7 +921,8 @@ def cluster_failover_drill(
             plan_path = sock_dir / "plan.json"
             plan_path.write_text(json.dumps(plan.to_json()))
         spec_ids = sorted(
-            _reference_service(seed, scale, plan).jobs_corpus_ids()
+            spec.spec_id
+            for spec in load_benchmark("arepair", seed=seed, scale=scale)
         )
         sockets = {
             replica: str(sock_dir / f"{replica}.sock")
@@ -1098,11 +1090,7 @@ def cluster_failover_drill(
     }
     with _temp_cache():
         reference_payload, reference_events = _reference_execution(
-            spec_ids,
-            _reference_service(seed, scale, plan),
-            AVAILABILITY_TECHNIQUES,
-            seed,
-            plan,
+            spec_ids, scale, AVAILABILITY_TECHNIQUES, seed, plan
         )
     if cluster_payload != reference_payload:
         diverging = sorted(
@@ -1157,51 +1145,17 @@ def run_cluster_drills(
     scale: float = 0.05,
 ) -> dict:
     """Run the replicated-tier drills and assemble the report."""
-    requested = set(sites) if sites is not None else set(SITES)
-    unknown = requested - set(SITES)
-    if unknown:
-        raise ValueError(
-            f"unknown injection site(s): {', '.join(sorted(unknown))}"
-        )
-    drills = [
-        cluster_lease_drill(seed),
-        cluster_failover_drill(seed, requested, scale),
-    ]
-    violations = sum(len(drill.violations) for drill in drills)
-    return {
-        "schema": CLUSTER_REPORT_SCHEMA,
-        "seed": seed,
-        "scale": scale,
-        "sites": sorted(requested),
-        "replicas": len(CLUSTER_REPLICAS),
-        "drills": [drill.to_json() for drill in drills],
-        "violations": violations,
-        "ok": violations == 0,
-    }
-
-
-def render_cluster_report(report: dict) -> str:
-    """The human-readable summary printed by ``repro chaos --cluster``."""
-    lines = [
-        f"CLUSTER CHAOS — seed={report['seed']} "
-        f"scale={report['scale']:g} replicas={report['replicas']} "
-        f"sites={len(report['sites'])}"
-    ]
-    for drill in report["drills"]:
-        if drill["skipped"]:
-            status = "SKIP"
-        else:
-            status = "ok" if drill["ok"] else "FAIL"
-        lines.append(f"  [{status:>4}] {drill['name']}")
-        for violation in drill["violations"]:
-            lines.append(f"         - {violation}")
-    verdict = (
-        "failover invariants held"
-        if report["ok"]
-        else f"{report['violations']} violation(s)"
+    return run_suite(
+        CLUSTER_SUITE,
+        sites,
+        [
+            lambda requested: cluster_lease_drill(seed),
+            lambda requested: cluster_failover_drill(seed, requested, scale),
+        ],
+        seed=seed,
+        scale=scale,
+        replicas=len(CLUSTER_REPLICAS),
     )
-    lines.append(f"  {verdict}")
-    return "\n".join(lines)
 
 
 def run_service_drills(
@@ -1210,48 +1164,15 @@ def run_service_drills(
     scale: float = 0.05,
 ) -> dict:
     """Run the service drills and assemble the deterministic report."""
-    requested = set(sites) if sites is not None else set(SITES)
-    unknown = requested - set(SITES)
-    if unknown:
-        raise ValueError(
-            f"unknown injection site(s): {', '.join(sorted(unknown))}"
-        )
-    drills = [
-        availability_drill(seed, requested, scale),
-        backpressure_drill(seed, scale),
-        breaker_drill(seed, requested, scale),
-        drain_resume_drill(seed, scale),
-    ]
-    violations = sum(len(drill.violations) for drill in drills)
-    return {
-        "schema": SERVICE_CHAOS_SCHEMA,
-        "seed": seed,
-        "scale": scale,
-        "sites": sorted(requested),
-        "drills": [drill.to_json() for drill in drills],
-        "violations": violations,
-        "ok": violations == 0,
-    }
-
-
-def render_service_report(report: dict) -> str:
-    """The human-readable summary printed by ``repro chaos --service``."""
-    lines = [
-        f"SERVICE CHAOS — seed={report['seed']} "
-        f"scale={report['scale']:g} sites={len(report['sites'])}"
-    ]
-    for drill in report["drills"]:
-        if drill["skipped"]:
-            status = "SKIP"
-        else:
-            status = "ok" if drill["ok"] else "FAIL"
-        lines.append(f"  [{status:>4}] {drill['name']}")
-        for violation in drill["violations"]:
-            lines.append(f"         - {violation}")
-    verdict = (
-        "availability SLO held"
-        if report["ok"]
-        else f"{report['violations']} violation(s)"
+    return run_suite(
+        SERVICE_SUITE,
+        sites,
+        [
+            lambda requested: availability_drill(seed, requested, scale),
+            lambda requested: backpressure_drill(seed, scale),
+            lambda requested: breaker_drill(seed, requested, scale),
+            lambda requested: drain_resume_drill(seed, scale),
+        ],
+        seed=seed,
+        scale=scale,
     )
-    lines.append(f"  {verdict}")
-    return "\n".join(lines)

@@ -327,9 +327,6 @@ class ClusterStore:
         self._fold_lock = threading.Lock()
         self.fencing_rejections = 0
         self.duplicate_commits = 0
-        self.store_events: list[dict] = []
-        """Chaos events fired inside store-mirror flush scopes.  Excluded
-        from drill reports: flush counts depend on commit interleaving."""
 
     # -- journal helpers ------------------------------------------------------
 
@@ -530,15 +527,16 @@ class ClusterStore:
             if cell.get("status") == "timeout":
                 continue
             row[technique] = dict(cell)
+        # The chaos scope injects ``persist.*`` faults into the mirror
+        # write.  Its events are not kept: flush counts depend on commit
+        # interleaving, so no drill report could use them.
         with chaos.install(
             self._chaos, salt=f"cluster-store:{self.replica}:{self._flushes}"
-        ) as scope:
+        ):
             self._flushes += 1
             atomic_write_json(
                 self.store_path, cells, schema=CLUSTER_STORE_SCHEMA
             )
-        if scope is not None:
-            self.store_events.extend(event.to_json() for event in scope.events)
 
     def lookup(self, spec_id: str) -> dict:
         """The shared store's row for one spec (tolerant read)."""

@@ -3,13 +3,15 @@
 The expensive drills (matrix-equivalence, resume, shard-timeout) are
 exercised end-to-end by ``repro chaos`` in CI; here we pin the harness
 machinery itself — payload projection, site routing, report canonical
-form — plus the persistence drill, which is fast enough to run whole.
+form, and the suite scaffold the service and cluster suites share — plus
+the persistence drill, which is fast enough to run whole.
 """
 
 import pytest
 
 from repro.chaos.harness import (
     CHAOS_SCHEMA,
+    ENGINE_SUITE,
     DrillResult,
     equivalence_drill,
     matrix_payload,
@@ -17,9 +19,17 @@ from repro.chaos.harness import (
     render_report,
     retry_drill,
     run_drills,
+    run_suite,
     write_report,
 )
 from repro.experiments.runner import ResultMatrix, SpecOutcome
+from repro.service import drill as service_drill
+from repro.service.drill import (
+    CLUSTER_SUITE,
+    SERVICE_SUITE,
+    run_cluster_drills,
+    run_service_drills,
+)
 
 
 def outcome(spec_id, technique, status="not_fixed", elapsed=1.25):
@@ -62,6 +72,116 @@ class TestSiteRouting:
             run_drills(sites=["persist.corrupt", "made.up"])
 
 
+class TestSuiteScaffold:
+    """One site check, one report assembly and one renderer serve the
+    engine, service and cluster suites alike."""
+
+    def _report(self, suite, ok=True, **header):
+        return run_suite(
+            suite,
+            ["persist.corrupt"],
+            [lambda requested: DrillResult(
+                name="only", violations=[] if ok else ["it broke"]
+            )],
+            **header,
+        )
+
+    def test_report_carries_schema_header_and_sites(self):
+        calls = []
+
+        def drill(requested):
+            calls.append(sorted(requested))
+            return DrillResult(name="d", violations=["v"])
+
+        report = run_suite(
+            SERVICE_SUITE, ["sat.flip", "sat.budget"], [drill, drill],
+            seed=3, scale=0.05,
+        )
+        assert calls == [["sat.budget", "sat.flip"]] * 2
+        assert report == {
+            "schema": SERVICE_SUITE.schema,
+            "seed": 3,
+            "scale": 0.05,
+            "sites": ["sat.budget", "sat.flip"],
+            "drills": [DrillResult(name="d", violations=["v"]).to_json()] * 2,
+            "violations": 2,
+            "ok": False,
+        }
+
+    def test_unknown_site_runs_no_drill(self):
+        def drill(requested):
+            raise AssertionError("a drill ran before the sites were checked")
+
+        with pytest.raises(ValueError, match="unknown injection site"):
+            run_suite(ENGINE_SUITE, ["made.up"], [drill])
+
+    def test_service_suite_rejects_unknown_site_before_any_daemon(
+        self, monkeypatch
+    ):
+        def start(*args, **kwargs):
+            raise AssertionError("a daemon started before the site check")
+
+        monkeypatch.setattr(service_drill.ServiceHandle, "start", start)
+        with pytest.raises(ValueError, match="unknown injection site"):
+            run_service_drills(sites=["persist.corrupt", "made.up"])
+
+    def test_cluster_suite_rejects_unknown_site_before_any_replica(
+        self, monkeypatch
+    ):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a cluster drill ran before the site check")
+
+        monkeypatch.setattr(service_drill, "cluster_lease_drill", refuse)
+        monkeypatch.setattr(service_drill, "_spawn_replica", refuse)
+        with pytest.raises(ValueError, match="unknown injection site"):
+            run_cluster_drills(sites=["made.up"])
+
+    @pytest.mark.parametrize(
+        "suite, header, title, held",
+        [
+            (
+                ENGINE_SUITE,
+                {"seed": 0, "jobs": 2, "scale": 0.05},
+                "CHAOS — seed=0 jobs=2 scale=0.05 sites=1",
+                "all invariants held",
+            ),
+            (
+                SERVICE_SUITE,
+                {"seed": 0, "scale": 0.05},
+                "SERVICE CHAOS — seed=0 scale=0.05 sites=1",
+                "availability SLO held",
+            ),
+            (
+                CLUSTER_SUITE,
+                {"seed": 0, "scale": 0.05, "replicas": 2},
+                "CLUSTER CHAOS — seed=0 scale=0.05 replicas=2 sites=1",
+                "failover invariants held",
+            ),
+        ],
+    )
+    def test_each_suite_renders_its_title_and_verdict(
+        self, suite, header, title, held
+    ):
+        lines = render_report(self._report(suite, **header), suite).splitlines()
+        assert lines == [title, "  [  ok] only", f"  {held}"]
+        failed = render_report(self._report(suite, ok=False, **header), suite)
+        assert failed.splitlines()[-1] == "  1 violation(s)"
+        assert held not in failed
+
+    def test_suites_have_distinct_schemas_and_files(self):
+        suites = (ENGINE_SUITE, SERVICE_SUITE, CLUSTER_SUITE)
+        assert [s.schema for s in suites] == [
+            "repro-chaos/1",
+            "repro-service-chaos/1",
+            "repro-cluster-chaos/1",
+        ]
+        assert [s.report_file for s in suites] == [
+            "chaos-report.json",
+            "service-chaos-report.json",
+            "cluster-chaos-report.json",
+        ]
+
+
 class TestPersistDrill:
     def test_no_corrupted_file_reads_back_valid(self):
         drill = persist_drill(0, {"persist.corrupt", "persist.truncate"})
@@ -98,7 +218,7 @@ class TestReport:
         assert first.read_bytes().endswith(b"\n")
 
     def test_render_report_marks_each_drill(self):
-        text = render_report(self._report())
+        text = render_report(self._report(), ENGINE_SUITE)
         assert "[  ok] good" in text
         assert "[SKIP] idle" in text
         assert "[FAIL] bad" in text
@@ -110,7 +230,7 @@ class TestReport:
         report["drills"] = report["drills"][:2]
         report["violations"] = 0
         report["ok"] = True
-        assert "all invariants held" in render_report(report)
+        assert "all invariants held" in render_report(report, ENGINE_SUITE)
 
 
 class TestDrillResult:

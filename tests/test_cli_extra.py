@@ -46,6 +46,30 @@ class TestRemovedExecutionFlags:
         assert "unrecognized arguments" in capsys.readouterr().err
 
 
+class TestChaosSuiteFlags:
+    """``repro chaos`` runs exactly one suite; asking for two is refused
+    instead of silently running one of them."""
+
+    @pytest.mark.parametrize(
+        "flags, suite",
+        [([], "engine"), (["--service"], "service"), (["--cluster"], "cluster")],
+    )
+    def test_flag_selects_the_suite(self, flags, suite):
+        assert build_parser().parse_args(["chaos", *flags]).suite == suite
+
+    def test_service_and_cluster_are_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["chaos", "--service", "--cluster", "--seed", "0"])
+        assert exit_info.value.code == EXIT_USAGE
+        assert "not allowed with argument" in capsys.readouterr().err
+
+    def test_serve_keeps_its_store(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["serve", "--socket", "s.sock", "--no-store"])
+        assert exit_info.value.code == EXIT_USAGE
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
 class TestNonPositiveCounts:
     """A count of zero or less is rejected, never used as a slice bound."""
 

@@ -458,11 +458,20 @@ class TestResultStore:
         assert self._store(socket_dir).lookup("s", "ATR")["rep"] == 1
 
     def test_percentile_is_nearest_rank(self):
+        # Nearest rank: the ceil(q * n)-th smallest value.
         assert percentile([], 0.99) == 0.0
         values = [float(v) for v in range(1, 101)]
         assert percentile(values, 0.50) == 50.0
-        assert percentile(values, 0.99) == 100.0
+        assert percentile(values, 0.99) == 99.0
+        assert percentile(values, 1.0) == 100.0
         assert percentile([7.0], 0.99) == 7.0
+        # Exact ranks must not round up: round-half-even and float noise
+        # (0.07 * 100 == 7.000000000000001) both used to add one.
+        assert percentile([1.0, 2.0], 0.50) == 1.0
+        ten = [float(v) for v in range(1, 11)]
+        assert percentile(ten, 0.50) == 5.0
+        assert percentile(ten, 0.90) == 9.0
+        assert percentile(values, 0.07) == 7.0
 
 
 class TestServiceSubmission:
