@@ -11,7 +11,8 @@ Commands:
 - ``repro trace <file.jsonl>`` — summarize a trace: top spans, slowest cells.
 - ``repro profile <file.jsonl>...`` — per-technique metric rollup.
 - ``repro serve`` — the repair service daemon (jobs over a unix socket);
-  ``--cluster-dir`` runs it as one replica of a lease-fenced fleet.
+  every daemon is a replica of a lease-fenced cluster (``--cluster-dir``,
+  default ``<socket>.cluster``).
 - ``repro submit | jobs`` — clients for a running daemon (a comma-separated
   ``--socket`` list fails over across replicas).
 - ``repro loadgen`` — drive a synthetic client fleet, report availability;
@@ -393,18 +394,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="disable the per-job deadline (and the wedge watchdog)",
     )
     serve.add_argument(
-        "--state",
-        default=None,
-        metavar="FILE.json",
-        help="drain checkpoint path (default: <socket>.state.json)",
-    )
-    serve.add_argument(
         "--cluster-dir",
         default=None,
         metavar="DIR",
-        help="shared cluster directory: run this daemon as one replica of "
-        "a fleet (ledger-journaled jobs, fenced leases, shared store, "
-        "durable cluster-wide quotas)",
+        help="the cluster directory this daemon is a replica of "
+        "(ledger-journaled jobs, fenced leases, shared store, durable "
+        "quotas); share it to run a fleet (default: <socket>.cluster)",
     )
     serve.add_argument(
         "--replica-id",
@@ -417,14 +412,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=5.0,
         metavar="SECONDS",
-        help="lease lifetime without renewal before peers adopt the job",
-    )
-    serve.add_argument(
-        "--heartbeat",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="lease renewal interval (default: lease-ttl / 3)",
+        help="lease lifetime without renewal before peers adopt the job "
+        "(renewed every lease-ttl / 3)",
     )
     serve.add_argument(
         "--chaos-plan",
@@ -975,12 +964,10 @@ def _service_config(args, chaos):
         bucket_capacity=args.bucket_capacity,
         bucket_refill=args.bucket_refill,
         job_timeout=job_timeout,
-        state_path=args.state,
         chaos=chaos,
         cluster_dir=args.cluster_dir,
         replica_id=args.replica_id,
         lease_ttl=args.lease_ttl,
-        lease_heartbeat=args.heartbeat,
     )
 
 
@@ -1001,13 +988,8 @@ def _cmd_serve(args) -> int:
         f"socket={args.socket}",
         file=sys.stderr,
     )
-    if service.resumed_jobs:
-        print(
-            f"  resuming {service.resumed_jobs} checkpointed job(s)",
-            file=sys.stderr,
-        )
     # serve() runs on the main thread so SIGTERM/SIGINT reach the loop's
-    # handlers and trigger a graceful drain + checkpoint.
+    # handlers and trigger a graceful drain.
     asyncio.run(service.serve())
     print("repro service: drained", file=sys.stderr)
     return EXIT_OK
@@ -1119,7 +1101,6 @@ def _cmd_loadgen(args) -> int:
                 workers=args.workers,
                 max_queue=args.max_queue,
                 job_timeout=None,
-                state_path=str(Path(tmp) / "loadgen.state.json"),
             )
         except ValueError as error:
             return _config_error("loadgen", error)

@@ -18,6 +18,7 @@ worker processes fold into one run-level registry.
 
 from __future__ import annotations
 
+import math
 import threading
 from typing import Any
 
@@ -103,22 +104,29 @@ class Histogram:
         with self._lock:
             if not self.count:
                 return {"count": 0}
-            ordered = sorted(self.values)
+            values = list(self.values)
             return {
                 "count": self.count,
                 "sum": self.total,
                 "min": self.minimum,
                 "max": self.maximum,
                 "mean": self.total / self.count,
-                "p50": _percentile(ordered, 0.50),
-                "p90": _percentile(ordered, 0.90),
-                "p99": _percentile(ordered, 0.99),
+                "p50": percentile(values, 0.50),
+                "p90": percentile(values, 0.90),
+                "p99": percentile(values, 0.99),
             }
 
 
-def _percentile(ordered: list[float], q: float) -> float:
-    index = min(len(ordered) - 1, max(0, round(q * (len(ordered) - 1))))
-    return ordered[index]
+def percentile(values: list[float], q: float) -> float:
+    """Nearest-rank percentile: the smallest value with at least ``q`` of
+    the sample at or below it (0.0 for an empty sample)."""
+    if not values:
+        return 0.0
+    ordered = sorted(values)
+    # Rounding first keeps float noise (0.07 * 100 == 7.000000000000001)
+    # from pushing an exact rank up by one.
+    rank = max(1, math.ceil(round(q * len(ordered), 9)))
+    return ordered[min(rank, len(ordered)) - 1]
 
 
 class MetricsRegistry:

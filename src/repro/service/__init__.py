@@ -6,10 +6,10 @@ solvers wedge, LLM backends flap, and load spikes.  The pieces:
 
 - :mod:`repro.service.protocol` — the line-delimited JSON job protocol
   spoken over a local socket, plus the :class:`JobSpec`/:class:`JobRecord`
-  vocabulary shared by daemon, client, and checkpoint files;
+  vocabulary shared by daemon, client, and the cluster ledger;
 - :mod:`repro.service.admission` — backpressure by *rejection*: a bounded
-  queue and per-tenant token buckets that answer "no, retry after N
-  seconds" instead of buffering without bound;
+  queue and per-tenant token buckets (folded from ledger debits) that
+  answer "no, retry after N seconds" instead of buffering without bound;
 - :mod:`repro.service.breaker` — circuit breakers that trip on classified
   error rates (LLM transport, analyzer) and fast-fail while open, with
   half-open probes to detect recovery;
@@ -18,18 +18,17 @@ solvers wedge, LLM backends flap, and load spikes.  The pieces:
   wedged workers;
 - :mod:`repro.service.daemon` — :class:`ReproService`, the asyncio daemon
   behind ``repro serve``: admission → queue → executor fleet → streamed
-  progress → result, with graceful drain that checkpoints in-flight jobs
-  so a restarted daemon resumes them;
+  progress → result; a lone daemon is a one-replica cluster, and graceful
+  drain journals its in-flight jobs so a restarted daemon adopts them;
 - :mod:`repro.service.client` — the blocking socket client behind
   ``repro submit`` / ``repro jobs``;
 - :mod:`repro.service.lease` — fenced, heartbeat-renewed job leases: the
-  ownership layer that makes ``repro serve --cluster-dir`` replicas safe
-  to ``kill -9`` (monotonic fencing tokens, deterministic jitter,
+  ownership layer that makes ``repro serve`` replicas safe to ``kill -9`` (monotonic fencing tokens, deterministic jitter,
   expiry-driven adoption);
 - :mod:`repro.service.ledger` — the append-only, replayable cluster job
   journal and the fenced shared result-store mirror
   (:class:`~repro.service.ledger.ClusterStore`): at-most-once commits,
-  at-least-once execution;
+  at-least-once execution, durable tenant quotas;
 - :mod:`repro.service.loadgen` — the synthetic-client load harness
   (``--replicas N`` spreads the fleet across a hosted cluster);
 - :mod:`repro.service.drill` — ``repro chaos --service``: the 9-site
@@ -47,8 +46,6 @@ cheap.
 from repro.service.admission import (
     Admission,
     AdmissionController,
-    QuotaStore,
-    SharedTokenBucket,
     TokenBucket,
 )
 from repro.service.breaker import (
@@ -73,8 +70,6 @@ from repro.service.lease import (
 )
 from repro.service.protocol import (
     PROTOCOL_SCHEMA,
-    STATE_SCHEMA,
-    STORE_SCHEMA,
     JobSpec,
     JobState,
     ProtocolError,
@@ -103,11 +98,7 @@ __all__ = [
     "LeaseManager",
     "PROTOCOL_SCHEMA",
     "ProtocolError",
-    "QuotaStore",
-    "STATE_SCHEMA",
-    "STORE_SCHEMA",
     "ServiceError",
-    "SharedTokenBucket",
     "StaleWriterError",
     "TokenBucket",
     "decode_message",

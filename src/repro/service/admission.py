@@ -11,30 +11,22 @@ that grows until memory dies.  Two gates run in order:
    a steady rate, so one chatty tenant cannot starve the rest.  Empty
    bucket → ``rate_limited`` with the exact time until the next token.
 
-Like the breakers, the clock is injected so tests and drills are
-deterministic: with a fake clock the whole controller is a pure function
-of the call sequence.
-
-In cluster mode the buckets move out of process memory into a
-:class:`QuotaStore` — one schema-stamped file in the shared cluster
-directory, mutated under the cluster lock — so a tenant's budget survives
-replica restarts and is enforced across the whole fleet: N replicas
-draining one bucket admit no more than one replica would.
+The buckets live in the cluster job ledger, not in process memory: an
+admission appends one ``debit`` record
+(:meth:`repro.service.ledger.ClusterStore.debit`), and the ledger fold
+replays the debits per tenant into :class:`TokenBucket` state.  So a
+tenant's budget survives daemon restarts and is enforced across the whole
+fleet: N replicas draining one bucket admit no more than one would.
 """
 
 from __future__ import annotations
 
-import time
+import math
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Callable
+from typing import TYPE_CHECKING
 
-from repro.runtime.errors import CacheCorruptionError
-from repro.runtime.persist import atomic_write_json, load_json
-from repro.service.lease import file_lock
-
-QUOTA_SCHEMA = "repro-cluster-quota/1"
-"""Schema of the shared per-tenant quota file; bump on shape change."""
+if TYPE_CHECKING:
+    from repro.service.ledger import ClusterStore
 
 _HORIZON = 3600.0
 """Cap on any retry-after answer: an unrefillable bucket still gets a
@@ -43,159 +35,44 @@ meaningless on the wire."""
 
 
 class TokenBucket:
-    """The standard leaky-bucket limiter with an injected clock."""
+    """The standard token bucket, driven by explicit timestamps.
 
-    def __init__(
-        self,
-        capacity: float,
-        refill_rate: float,
-        clock: Callable[[], float] = time.monotonic,
-    ) -> None:
-        if capacity <= 0:
-            raise ValueError(f"capacity must be > 0, got {capacity}")
-        if refill_rate < 0:
-            raise ValueError(f"refill_rate must be >= 0, got {refill_rate}")
-        self.capacity = float(capacity)
-        self.refill_rate = float(refill_rate)
-        self._clock = clock
-        self._tokens = float(capacity)
-        self._updated = clock()
-
-    def _refill(self) -> None:
-        now = self._clock()
-        elapsed = max(0.0, now - self._updated)
-        self._updated = now
-        if self.refill_rate > 0:
-            self._tokens = min(
-                self.capacity, self._tokens + elapsed * self.refill_rate
-            )
-
-    def acquire(self, cost: float = 1.0) -> float:
-        """Try to take ``cost`` tokens.  Returns 0.0 on success, else the
-        seconds until the bucket will hold enough (capped at an hour)."""
-        self._refill()
-        if self._tokens >= cost:
-            self._tokens -= cost
-            return 0.0
-        deficit = cost - self._tokens
-        if self.refill_rate <= 0:
-            return _HORIZON
-        return min(_HORIZON, deficit / self.refill_rate)
-
-    @property
-    def available(self) -> float:
-        self._refill()
-        return self._tokens
-
-
-class QuotaStore:
-    """Tenant bucket levels persisted in the shared cluster directory.
-
-    The file holds ``{tenant: {"tokens": float, "updated": float}}``
-    against the **wall clock** (cluster state cannot use a process-local
-    monotonic clock).  Reads tolerate corruption as a miss — a torn write
-    resets tenants to full buckets, which admits at most one burst more
-    than intended and never wedges admission.
+    Refill is continuous and capped, so the level at any instant depends
+    only on the debits before it, not on when anyone looked — which is
+    what lets a ledger fold replay the same buckets on every replica.
     """
 
-    def __init__(
-        self,
-        root: Path,
-        clock: Callable[[], float] = time.time,
-    ) -> None:
-        self.root = Path(root)
-        self.path = self.root / "quotas.json"
-        self._lock_path = self.root / ".cluster.lock"
-        self.clock = clock
-        self.resets = 0
-
-    def _load_locked(self) -> dict:
-        if not self.path.exists():
-            return {}
-        try:
-            payload = load_json(self.path, schema=QUOTA_SCHEMA)
-            return {str(t): dict(row) for t, row in payload.items()}
-        except (CacheCorruptionError, AttributeError):
-            self.resets += 1
-            return {}
-
-    def debit(
-        self,
-        tenant: str,
-        cost: float,
-        capacity: float,
-        refill_rate: float,
-    ) -> float:
-        """Refill-then-debit one tenant's bucket atomically cluster-wide.
-
-        Returns 0.0 on success, else seconds until enough tokens exist —
-        the same contract as :meth:`TokenBucket.acquire`.
-        """
-        now = self.clock()
-        with file_lock(self._lock_path):
-            quotas = self._load_locked()
-            row = quotas.get(tenant, {})
-            tokens = float(row.get("tokens", capacity))
-            updated = float(row.get("updated", now))
-            elapsed = max(0.0, now - updated)
-            if refill_rate > 0:
-                tokens = min(capacity, tokens + elapsed * refill_rate)
-            if tokens >= cost:
-                tokens -= cost
-                wait = 0.0
-            elif refill_rate <= 0:
-                wait = _HORIZON
-            else:
-                wait = min(_HORIZON, (cost - tokens) / refill_rate)
-            quotas[tenant] = {"tokens": round(tokens, 9), "updated": now}
-            atomic_write_json(self.path, quotas, schema=QUOTA_SCHEMA)
-        return wait
-
-    def available(self, tenant: str, capacity: float) -> float:
-        with file_lock(self._lock_path):
-            row = self._load_locked().get(tenant)
-        if row is None:
-            return capacity
-        return float(row.get("tokens", capacity))
-
-    def snapshot(self) -> dict:
-        with file_lock(self._lock_path):
-            quotas = self._load_locked()
-        return {
-            "tenants": sorted(quotas),
-            "resets": self.resets,
-        }
-
-
-class SharedTokenBucket:
-    """A :class:`TokenBucket`-shaped view over one tenant's row in a
-    :class:`QuotaStore` — what :class:`AdmissionController` hands out in
-    cluster mode."""
-
-    def __init__(
-        self,
-        store: QuotaStore,
-        tenant: str,
-        capacity: float,
-        refill_rate: float,
-    ) -> None:
+    def __init__(self, capacity: float, refill_rate: float) -> None:
         if capacity <= 0:
             raise ValueError(f"capacity must be > 0, got {capacity}")
         if refill_rate < 0:
             raise ValueError(f"refill_rate must be >= 0, got {refill_rate}")
-        self.store = store
-        self.tenant = tenant
         self.capacity = float(capacity)
         self.refill_rate = float(refill_rate)
+        self._tokens = float(capacity)
+        self._updated = -math.inf
 
-    def acquire(self, cost: float = 1.0) -> float:
-        return self.store.debit(
-            self.tenant, cost, self.capacity, self.refill_rate
-        )
+    def level(self, now: float) -> float:
+        """Tokens held at ``now`` (refill applied, nothing taken)."""
+        elapsed = max(0.0, now - self._updated)
+        if self.refill_rate <= 0:
+            return self._tokens
+        return min(self.capacity, self._tokens + elapsed * self.refill_rate)
 
-    @property
-    def available(self) -> float:
-        return self.store.available(self.tenant, self.capacity)
+    def wait(self, now: float, cost: float = 1.0) -> float:
+        """0.0 if ``cost`` tokens are available at ``now``, else the seconds
+        until they will be (capped at an hour).  Takes nothing."""
+        tokens = self.level(now)
+        if tokens >= cost:
+            return 0.0
+        if self.refill_rate <= 0:
+            return _HORIZON
+        return min(_HORIZON, (cost - tokens) / self.refill_rate)
+
+    def take(self, now: float, cost: float = 1.0) -> None:
+        """Debit ``cost`` tokens at ``now`` (the caller checked :meth:`wait`)."""
+        self._tokens = self.level(now) - cost
+        self._updated = max(self._updated, now)
 
 
 @dataclass(frozen=True)
@@ -213,41 +90,17 @@ class AdmissionController:
 
     def __init__(
         self,
+        quotas: ClusterStore,
         max_queue: int = 64,
-        bucket_capacity: float = 8.0,
-        bucket_refill: float = 4.0,
         queue_retry_after: float = 0.25,
-        clock: Callable[[], float] = time.monotonic,
-        quota_store: QuotaStore | None = None,
     ) -> None:
         if max_queue < 1:
             raise ValueError(f"max_queue must be >= 1, got {max_queue}")
+        self.quotas = quotas
         self.max_queue = max_queue
-        self.bucket_capacity = bucket_capacity
-        self.bucket_refill = bucket_refill
         self.queue_retry_after = queue_retry_after
-        self._clock = clock
-        self.quota_store = quota_store
-        self._buckets: dict[str, TokenBucket | SharedTokenBucket] = {}
         self.admitted = 0
         self.rejected: dict[str, int] = {}
-
-    def bucket_for(self, tenant: str) -> TokenBucket | SharedTokenBucket:
-        bucket = self._buckets.get(tenant)
-        if bucket is None:
-            if self.quota_store is not None:
-                bucket = SharedTokenBucket(
-                    self.quota_store,
-                    tenant,
-                    self.bucket_capacity,
-                    self.bucket_refill,
-                )
-            else:
-                bucket = TokenBucket(
-                    self.bucket_capacity, self.bucket_refill, clock=self._clock
-                )
-            self._buckets[tenant] = bucket
-        return bucket
 
     def admit(self, tenant: str, queue_depth: int) -> Admission:
         """Gate one submission given the current queued-job count.
@@ -263,7 +116,7 @@ class AdmissionController:
                 1.0, queue_depth / self.max_queue
             )
             return self._reject("queue_full", hint)
-        wait = self.bucket_for(tenant).acquire()
+        wait = self.quotas.debit(tenant)
         if wait > 0:
             return self._reject("rate_limited", wait)
         self.admitted += 1
@@ -274,12 +127,9 @@ class AdmissionController:
         return Admission(admitted=False, reason=reason, retry_after=retry_after)
 
     def snapshot(self) -> dict:
-        snap = {
+        return {
             "max_queue": self.max_queue,
             "admitted": self.admitted,
             "rejected": dict(sorted(self.rejected.items())),
-            "tenants": sorted(self._buckets),
+            "tenants": self.quotas.tenants(),
         }
-        if self.quota_store is not None:
-            snap["durable_quotas"] = self.quota_store.snapshot()
-        return snap

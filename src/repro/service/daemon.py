@@ -16,20 +16,25 @@ One process, three layers:
   installed exactly as the batch engine installs it, so a service job's
   outcome is bit-identical to the same cell computed by ``run_matrix``.
 
-Durability: completed cells flush incrementally into a :class:`ResultStore`
+Durability has one path: every daemon is a replica of a cluster
+(:mod:`repro.service.ledger`), and a lone daemon is a one-replica cluster
+over ``<socket>.cluster``.  Jobs are journaled in the ledger and owned
+through fenced leases, committed cells merge into the shared store mirror
 (atomic, schema-stamped, corruption-tolerant — the same persistence
-contract as the matrix cache), and graceful drain (SIGTERM/SIGINT or the
-``drain`` op) checkpoints every non-terminal job to a state file.  A
-restarted daemon re-enqueues the checkpointed jobs and serves
-already-flushed cells from the store, so a kill-and-restart loses nothing
-and recomputes nothing it already had — the service-mode mirror of
-``run_matrix``'s resume-from-flushed-shards guarantee.
+contract as the matrix cache), and tenant quotas are ledger debits.
+Graceful drain (SIGTERM/SIGINT or the ``drain`` op) journals ``drained``
+for every non-terminal job and releases its lease; a restarted daemon
+adopts those jobs, keeping their ids, before it listens, and serves
+already-committed cells from the mirror — so a kill-and-restart loses
+nothing and recomputes nothing it already had, the service-mode mirror of
+``run_matrix``'s resume-from-flushed-shards guarantee.  A store hit takes
+no lease and writes no record: it has nothing to recover.
 
-Threading discipline: all job bookkeeping (``_jobs``, watchers, the
-store) mutates only on the event-loop thread.  Worker threads hand
-results over through a thread-safe deque plus ``call_soon_threadsafe``;
-at shutdown the checkpoint path drains that deque synchronously so a
-result that landed during the last tick is flushed, not lost.
+Threading discipline: all job bookkeeping (``_jobs``, watchers) mutates
+only on the event-loop thread.  Worker threads hand results over through
+a thread-safe deque plus ``call_soon_threadsafe``; at shutdown the drain
+path empties that deque synchronously so a result that landed during the
+last tick is committed, not lost.
 """
 
 from __future__ import annotations
@@ -37,9 +42,6 @@ from __future__ import annotations
 import asyncio
 import collections
 import contextlib
-import hashlib
-import json
-import math
 import os
 import signal
 import threading
@@ -49,7 +51,7 @@ from pathlib import Path
 from typing import Callable
 
 from repro import chaos
-from repro.benchmarks.cache import cache_dir, load_benchmark
+from repro.benchmarks.cache import load_benchmark
 from repro.benchmarks.faults import FaultySpec
 from repro.chaos.plan import FaultPlan
 from repro.experiments.executor import (
@@ -58,11 +60,9 @@ from repro.experiments.executor import (
     timeout_shard_result,
 )
 from repro.llm.prompts import RepairHints
+from repro.obs.metrics import percentile
 from repro.repair import registry
-from repro.runtime.errors import CacheCorruptionError
-from repro.runtime.guard import capture_failure
-from repro.runtime.persist import atomic_write_json, load_json
-from repro.service.admission import AdmissionController, QuotaStore
+from repro.service.admission import AdmissionController
 from repro.service.breaker import BreakerConfig, CircuitBreaker
 from repro.service.lease import HeartbeatLoop
 from repro.service.ledger import (
@@ -72,8 +72,6 @@ from repro.service.ledger import (
 )
 from repro.service.protocol import (
     PROTOCOL_SCHEMA,
-    STATE_SCHEMA,
-    STORE_SCHEMA,
     JobRecord,
     JobSpec,
     JobState,
@@ -113,23 +111,21 @@ class ServiceConfig:
     ``RunConfig.shard_timeout``: cooperatively between cells inside the
     worker, and by the pool's wedge watchdog for jobs that stop
     cooperating."""
-    state_path: str | None = None
-    """Drain checkpoint destination; default ``<socket>.state.json``."""
     chaos: FaultPlan | None = None
     """Fault-injection plan installed around every job execution and
     store flush — how ``repro chaos --service`` drills the live daemon."""
     breaker: BreakerConfig = field(default_factory=BreakerConfig)
     cluster_dir: str | None = None
-    """Shared cluster directory.  Set ⇒ this daemon is one replica of a
-    fleet: jobs are journaled in the shared ledger, owned via fenced
-    leases, committed to the shared store mirror, and rate-limited by
-    cluster-wide durable quotas (:mod:`repro.service.ledger`)."""
+    """The cluster directory this daemon is a replica of: jobs are
+    journaled in its ledger, owned via fenced leases, committed to its
+    store mirror, and rate-limited by its durable quotas
+    (:mod:`repro.service.ledger`).  Default ``<socket>.cluster``: a lone
+    daemon is a one-replica cluster."""
     replica_id: str | None = None
     """This replica's name in the cluster; default ``r<pid>``."""
     lease_ttl: float = 5.0
-    """Seconds a lease lives without renewal before peers may adopt."""
-    lease_heartbeat: float | None = None
-    """Renewal interval; default ``lease_ttl / 3``."""
+    """Seconds a lease lives without renewal before peers may adopt; the
+    heartbeat renews every ``lease_ttl / 3``."""
 
     def __post_init__(self) -> None:
         if self.workers < 1:
@@ -148,130 +144,31 @@ class ServiceConfig:
             )
         if self.lease_ttl <= 0:
             raise ValueError(f"lease_ttl must be > 0, got {self.lease_ttl}")
-        if self.lease_heartbeat is not None and not (
-            0 < self.lease_heartbeat < self.lease_ttl
-        ):
-            raise ValueError(
-                f"lease_heartbeat must be in (0, lease_ttl={self.lease_ttl:g}), "
-                f"got {self.lease_heartbeat}"
-            )
 
-    @property
-    def clustered(self) -> bool:
-        return self.cluster_dir is not None
+    def resolved_cluster_dir(self) -> Path:
+        if self.cluster_dir is not None:
+            return Path(self.cluster_dir)
+        return Path(f"{self.socket}.cluster")
 
     def resolved_replica_id(self) -> str:
         if self.replica_id is not None:
             return self.replica_id
         return f"r{os.getpid()}"
 
-    def resolved_state_path(self) -> Path:
-        if self.state_path is not None:
-            return Path(self.state_path)
-        return Path(f"{self.socket}.state.json")
-
 
 def store_recipe(config: ServiceConfig) -> dict:
-    """Everything that changes cell *values* — the key both the local
-    :class:`ResultStore` and the shared cluster mirror are filed under, so
-    a chaos daemon never poisons (or borrows from) a clean one's store,
-    and every replica of one cluster agrees on the file."""
+    """Everything that changes cell *values* — the key the cluster's store
+    mirror is filed under, so a chaos daemon never poisons (or borrows
+    from) a clean one's store, and every replica of one cluster agrees on
+    the file."""
     return {
         "b": config.benchmark,
         "s": config.seed,
         "sc": config.scale,
-        # Pruning is always on; kept so old stores and mirrors keep their file.
+        # Pruning is always on; kept so existing mirrors keep their file.
         "sp": True,
         "ch": config.chaos.digest() if config.chaos else None,
     }
-
-
-class ResultStore:
-    """The daemon's incremental cell store.
-
-    Same durability contract as the matrix cache: atomic schema-stamped
-    writes, tolerant reads (corruption is a miss, never a crash), timeout
-    cells never persisted.  The file is keyed by everything that changes
-    cell *values* — benchmark, seed, scale, pruning, chaos digest — so a
-    chaos daemon never poisons (or borrows from) a clean one's store.
-    """
-
-    def __init__(self, config: ServiceConfig) -> None:
-        recipe = store_recipe(config)
-        digest = hashlib.sha256(
-            json.dumps(recipe, sort_keys=True).encode()
-        ).hexdigest()[:12]
-        self.path = cache_dir() / (
-            f"service-{config.benchmark}-{config.seed}-{digest}.json"
-        )
-        self._chaos = config.chaos
-        self._flushes = 0
-        self.cells: dict[str, dict[str, dict]] = {}
-        self.events: list[dict] = []
-        """Chaos events fired inside flush scopes (``persist.*`` audit)."""
-        self.load()
-
-    def load(self) -> None:
-        if not self.path.exists():
-            return
-        try:
-            payload = load_json(self.path, schema=STORE_SCHEMA)
-            self.cells = {
-                spec_id: dict(row) for spec_id, row in payload.items()
-            }
-        except (CacheCorruptionError, AttributeError):
-            # A corrupt store is a miss: start empty, recompute, overwrite.
-            self.cells = {}
-
-    def missing(self, spec_id: str, techniques: tuple[str, ...]) -> tuple[str, ...]:
-        row = self.cells.get(spec_id, {})
-        return tuple(t for t in techniques if t not in row)
-
-    def lookup(self, spec_id: str, technique: str) -> dict | None:
-        return self.cells.get(spec_id, {}).get(technique)
-
-    def merge(self, spec_id: str, outcomes: dict) -> None:
-        """Fold a shard's outcomes in (``SpecOutcome`` values); timeout
-        cells are execution artifacts and stay out, exactly as in
-        :func:`repro.experiments.runner._save_outcomes`."""
-        row = self.cells.setdefault(spec_id, {})
-        for technique, outcome in outcomes.items():
-            if outcome.status == "timeout":
-                continue
-            row[technique] = {
-                "rep": outcome.rep,
-                "tm": outcome.tm,
-                "sm": outcome.sm,
-                "status": outcome.status,
-                "elapsed": outcome.elapsed,
-                "error_code": outcome.error_code,
-            }
-
-    def flush(self) -> None:
-        """Atomically persist the store.  Runs inside a chaos scope when
-        the daemon carries a plan, so the ``persist.*`` sites exercise the
-        service's write path too; a corrupted flush is self-healing — the
-        next flush rewrites the whole store from memory, and a restart
-        treats the damage as a miss."""
-        with chaos.install(
-            self._chaos, salt=f"store:{self._flushes}"
-        ) as scope:
-            self._flushes += 1
-            atomic_write_json(self.path, self.cells, schema=STORE_SCHEMA)
-        if scope is not None:
-            self.events.extend(event.to_json() for event in scope.events)
-
-
-def percentile(values: list[float], q: float) -> float:
-    """Nearest-rank percentile (the SLO drill's p99 definition): the
-    smallest value with at least ``q`` of the sample at or below it."""
-    if not values:
-        return 0.0
-    ordered = sorted(values)
-    # Rounding first keeps float noise (0.07 * 100 == 7.000000000000001)
-    # from pushing an exact rank up by one.
-    rank = max(1, math.ceil(round(q * len(ordered), 9)))
-    return ordered[min(rank, len(ordered)) - 1]
 
 
 class ReproService:
@@ -292,33 +189,21 @@ class ReproService:
             )
         }
         self.replica_id = config.resolved_replica_id()
-        self.cluster: ClusterStore | None = None
-        self._heartbeat: HeartbeatLoop | None = None
-        quota_store: QuotaStore | None = None
-        if config.clustered:
-            # The shared mirror replaces the local store: two replicas
-            # must never race last-write-wins on one local store file.
-            assert config.cluster_dir is not None
-            self.cluster = ClusterStore(
-                Path(config.cluster_dir),
-                self.replica_id,
-                store_recipe(config),
-                ttl=config.lease_ttl,
-                heartbeat=config.lease_heartbeat,
-                jitter_seed=config.seed,
-                chaos_plan=config.chaos,
-            )
-            self._heartbeat = HeartbeatLoop(
-                self.cluster.leases, on_lost=self._on_lease_lost
-            )
-            quota_store = QuotaStore(Path(config.cluster_dir))
-        self.store = None if config.clustered else ResultStore(config)
-        self.admission = AdmissionController(
-            max_queue=config.max_queue,
+        self.cluster = ClusterStore(
+            config.resolved_cluster_dir(),
+            self.replica_id,
+            store_recipe(config),
+            ttl=config.lease_ttl,
+            jitter_seed=config.seed,
+            chaos_plan=config.chaos,
             bucket_capacity=config.bucket_capacity,
             bucket_refill=config.bucket_refill,
-            clock=clock,
-            quota_store=quota_store,
+        )
+        self._heartbeat = HeartbeatLoop(
+            self.cluster.leases, on_lost=self._on_lease_lost
+        )
+        self.admission = AdmissionController(
+            self.cluster, max_queue=config.max_queue
         )
         self.breakers = {
             "llm": CircuitBreaker("llm", config.breaker, clock=clock),
@@ -335,25 +220,19 @@ class ReproService:
         self._jobs: dict[str, JobRecord] = {}
         self._watchers: dict[str, list[asyncio.Queue]] = {}
         self._results: collections.deque = collections.deque()
-        self._seq = 0
+        self._seq = self._last_issued_seq()
         self.chaos_events: list[dict] = []
         """Every injected fault that fired in job executions (chaos
-        daemons only) — the drill's audit trail; store flushes keep their
-        own in :attr:`ResultStore.events`."""
+        daemons only) — the drill's audit trail; mirror flushes keep their
+        own in :attr:`ClusterStore.events`."""
         self._draining = False
         self._loop: asyncio.AbstractEventLoop | None = None
         self._done: asyncio.Event | None = None
         self.started = threading.Event()
-        self.resumed_jobs = 0
-        """Jobs re-enqueued from the drain checkpoint at startup."""
         self.adopted_jobs = 0
         """Orphaned cluster jobs this replica took over."""
         self.lease_losses = 0
         """Held leases the heartbeat discovered were fenced away."""
-        self.state_corruptions = 0
-        """Corrupt/truncated drain checkpoints survived at startup."""
-        self.state_failures: list[dict] = []
-        """The :class:`FailureRecord` payloads behind those corruptions."""
 
     # -- public surface -------------------------------------------------------
 
@@ -374,18 +253,16 @@ class ReproService:
         self._loop = asyncio.get_running_loop()
         self._done = asyncio.Event()
         self._install_signal_handlers()
-        if self.cluster is None:
-            # Cluster replicas have no private checkpoint: the shared
-            # ledger *is* the durable state, and peers adopt drained jobs.
-            self._resume_from_checkpoint()
+        # Adopt what a drained (or dead) predecessor left before taking
+        # any submission, so its jobs keep their place and their ids.
+        self._reclaim_orphans()
         socket_path = Path(self.config.socket)
         if socket_path.exists():
             socket_path.unlink()
         server = await asyncio.start_unix_server(
             self._handle_connection, path=str(socket_path)
         )
-        if self._heartbeat is not None:
-            self._heartbeat.start()
+        self._heartbeat.start()
         health = asyncio.ensure_future(self._health_loop())
         self.started.set()
         try:
@@ -394,16 +271,16 @@ class ReproService:
             health.cancel()
             server.close()
             await server.wait_closed()
-            if self._heartbeat is not None:
-                self._heartbeat.stop()
-            self._checkpoint()
+            self._heartbeat.stop()
+            self._hand_off()
             self.pool.stop()
             with contextlib.suppress(OSError):
                 socket_path.unlink()
 
     async def request_drain(self, grace: float = 5.0) -> None:
         """Graceful shutdown: stop admitting, give running jobs ``grace``
-        seconds to land, then checkpoint everything non-terminal."""
+        seconds to land, then hand everything non-terminal back to the
+        ledger."""
         if self._draining:
             return
         self._draining = True
@@ -415,19 +292,11 @@ class ReproService:
 
     # -- submission path ------------------------------------------------------
 
-    def submit(
-        self, spec: JobSpec, job_id: str | None = None, admitted: bool = False
-    ) -> tuple[JobRecord | None, dict]:
-        """Admit (or reject) one submission.  Loop-thread only.
-
-        ``admitted`` bypasses the admission gates — the restart-resume
-        path, where the job was admitted by a previous incarnation and
-        rejecting it now would *lose* it.
-        """
-        if not admitted:
-            frame = self._gate(spec)
-            if frame is not None:
-                return None, frame
+    def submit(self, spec: JobSpec) -> tuple[JobRecord | None, dict]:
+        """Admit (or reject) one submission.  Loop-thread only."""
+        frame = self._gate(spec)
+        if frame is not None:
+            return None, frame
         if spec.benchmark not in ("adhoc", self.config.benchmark):
             return None, error_frame(
                 f"this daemon serves {self.config.benchmark!r}, "
@@ -444,65 +313,46 @@ class ReproService:
                 f"unknown technique(s): {', '.join(unknown)}",
                 code="service.unknown_technique",
             )
-        if job_id is None:
-            self._seq += 1
-            job_id = (
-                f"job-{self.replica_id}-{self._seq:06d}"
-                if self.config.clustered
-                else f"job-{self._seq:06d}"
-            )
+        self._seq += 1
+        job_id = f"job-{self.replica_id}-{self._seq:06d}"
         record = JobRecord(
             job_id=job_id, spec=spec, submitted_at=self.clock()
         )
         self._jobs[job_id] = record
-        if self.cluster is not None:
-            # Journal the submission and take the lease in one atomic
-            # cluster-lock step: the job is durable before it is acked.
-            lease = self.cluster.register(job_id, spec.to_json())
-            record.lease_token = lease.token
-            if spec.benchmark != "adhoc":
-                row = self.cluster.lookup(spec.spec_id)
-                if all(t in row for t in spec.techniques):
-                    # Shared-mirror fast path: every cell already
-                    # committed by some replica.
-                    record.from_store = True
-                    record.started_at = record.finished_at = (
-                        record.submitted_at
-                    )
-                    record.outcomes = {
-                        t: dict(row[t]) for t in spec.techniques
-                    }
-                    record.state = JobState.DONE
-                    with contextlib.suppress(
-                        StaleWriterError, DuplicateCommitError
-                    ):
-                        self.cluster.commit(
-                            job_id,
-                            spec.spec_id,
-                            record.outcomes,
-                            lease.token,
-                            executed=False,
-                        )
-                    self._publish(record)
-                    return record, ack_frame(job_id, record.state)
-        elif spec.benchmark != "adhoc" and not self.store.missing(
-            spec.spec_id, spec.techniques
-        ):
-            # Restart-resume fast path: every cell already flushed — the
-            # job completes without touching the pool.
-            record.from_store = True
-            record.started_at = record.finished_at = record.submitted_at
-            record.outcomes = {
-                t: dict(self.store.lookup(spec.spec_id, t) or {})
-                for t in spec.techniques
-            }
-            record.state = JobState.DONE
-            self._publish(record)
-            return record, ack_frame(job_id, record.state)
+        if spec.benchmark != "adhoc":
+            row = self.cluster.lookup(spec.spec_id)
+            if all(t in row for t in spec.techniques):
+                # Store hit: every cell already committed by some
+                # replica.  No lease, no journal record — nothing to
+                # recover if this daemon dies now.
+                record.from_store = True
+                record.started_at = record.finished_at = record.submitted_at
+                record.outcomes = {t: dict(row[t]) for t in spec.techniques}
+                record.state = JobState.DONE
+                return record, ack_frame(job_id, record.state)
+        # Journal the submission and take the lease in one atomic cluster
+        # lock step: the job is durable before it is acked.
+        record.lease_token = self.cluster.register(
+            job_id, spec.to_json()
+        ).token
         self.pool.submit(
             record, priority=spec.priority, cost=self._cost(spec)
         )
         return record, ack_frame(job_id, record.state)
+
+    def _last_issued_seq(self) -> int:
+        """The highest job number this replica id has in the ledger, so a
+        restarted replica never re-issues an id a previous incarnation
+        journaled (its commit would collide with the old job's)."""
+        prefix = f"job-{self.replica_id}-"
+        return max(
+            (
+                int(job_id[len(prefix):])
+                for job_id in self.cluster.fold().jobs
+                if job_id.startswith(prefix) and job_id[len(prefix):].isdigit()
+            ),
+            default=0,
+        )
 
     def _gate(self, spec: JobSpec) -> dict | None:
         """The rejection pipeline: drain, breakers, queue, rate limit."""
@@ -527,10 +377,7 @@ class ReproService:
         """Longest-first estimate: historical per-cell seconds from the
         store when available, else the source-size proxy."""
         if spec.benchmark != "adhoc":
-            if self.cluster is not None:
-                row = self.cluster.lookup(spec.spec_id)
-            else:
-                row = self.store.cells.get(spec.spec_id, {})
+            row = self.cluster.lookup(spec.spec_id)
             known = sum(cell.get("elapsed", 0.0) for cell in row.values())
             if known > 0:
                 return known
@@ -570,21 +417,12 @@ class ReproService:
     def _execute(self, record: JobRecord):
         """Worker-thread entry: run the job's missing cells as one shard."""
         self._mark_running(record)
+        self.cluster.mark_running(record.job_id, record.lease_token)
         techniques = record.spec.techniques
         if record.spec.benchmark != "adhoc":
-            if self.cluster is not None:
-                self.cluster.mark_running(
-                    record.job_id, record.lease_token
-                )
-                techniques = self.cluster.missing(
-                    record.spec.spec_id, record.spec.techniques
-                )
-            else:
-                techniques = self.store.missing(
-                    record.spec.spec_id, record.spec.techniques
-                )
-        elif self.cluster is not None:
-            self.cluster.mark_running(record.job_id, record.lease_token)
+            techniques = self.cluster.missing(
+                record.spec.spec_id, record.spec.techniques
+            )
         if not techniques:
             return None  # everything landed in the store since admission
         return execute_shard(self._task_for(record, techniques))
@@ -614,8 +452,8 @@ class ReproService:
         try:
             loop.call_soon_threadsafe(callback)
         except RuntimeError:
-            # Loop already closed (shutdown race): the checkpoint path
-            # drains the deque synchronously, nothing is lost.
+            # Loop already closed (shutdown race): the drain path
+            # empties the deque synchronously, nothing is lost.
             pass
 
     # -- completion (loop thread) ---------------------------------------------
@@ -633,47 +471,43 @@ class ReproService:
             record.started_at = record.finished_at
         if error is not None:
             message = f"[{type(error).__name__}] {error}"
-            if self.cluster is not None:
-                try:
-                    self.cluster.commit_failed(
-                        record.job_id, record.lease_token, message
-                    )
-                except (StaleWriterError, DuplicateCommitError):
-                    self._settle_from_ledger(record)
-                    return
+            try:
+                self.cluster.commit_failed(
+                    record.job_id, record.lease_token, message
+                )
+            except (StaleWriterError, DuplicateCommitError):
+                self._settle_from_ledger(record)
+                return
             record.state = JobState.FAILED
             record.error = message
             self._publish(record)
             return
         if result is not None:
             self.chaos_events.extend(result.chaos_events)
-            if self.store is not None and record.spec.benchmark != "adhoc":
-                self.store.merge(record.spec.spec_id, result.outcomes)
-                self.store.flush()
             record.failures = [f.to_json() for f in result.failures]
             self._feed_breakers(record, result)
         record.outcomes = self._assemble_outcomes(record, result)
-        if self.cluster is not None:
-            # The at-most-once boundary: a stale or duplicate commit is
-            # rejected under the cluster lock, and the record settles
-            # from whatever the winning replica committed instead.
-            try:
-                self.cluster.commit(
-                    record.job_id,
-                    record.spec.spec_id,
-                    record.outcomes,
-                    record.lease_token,
-                    executed=result is not None,
-                    chaos_events=(
-                        [e for e in result.chaos_events]
-                        if result is not None
-                        else []
-                    ),
-                    merge_store=record.spec.benchmark != "adhoc",
-                )
-            except (StaleWriterError, DuplicateCommitError):
-                self._settle_from_ledger(record)
-                return
+        # The at-most-once boundary: a stale or duplicate commit is
+        # rejected under the cluster lock, and the record settles from
+        # whatever the winning replica committed instead.  Only fresh
+        # corpus cells rewrite the mirror.
+        try:
+            self.cluster.commit(
+                record.job_id,
+                record.spec.spec_id,
+                record.outcomes,
+                record.lease_token,
+                executed=result is not None,
+                chaos_events=(
+                    list(result.chaos_events) if result is not None else []
+                ),
+                merge_store=(
+                    result is not None and record.spec.benchmark != "adhoc"
+                ),
+            )
+        except (StaleWriterError, DuplicateCommitError):
+            self._settle_from_ledger(record)
+            return
         record.state = JobState.DONE
         self._publish(record)
 
@@ -682,7 +516,6 @@ class ReproService:
         to (or was finished by) another replica.  Settle the local record
         from the ledger so watchers still get the committed — and
         therefore byte-identical — payload."""
-        assert self.cluster is not None
         view = self.cluster.fold().jobs.get(record.job_id)
         if view is not None and view.terminal:
             self._apply_ledger_terminal(record, view)
@@ -713,7 +546,6 @@ class ReproService:
         self._publish(record)
 
     async def _await_ledger_terminal(self, record: JobRecord) -> None:
-        assert self.cluster is not None
         while not record.terminal:
             await asyncio.sleep(0.05)
             view = self.cluster.fold().jobs.get(record.job_id)
@@ -727,7 +559,7 @@ class ReproService:
         cells: dict[str, dict] = {}
         fresh = result.outcomes if result is not None else {}
         mirror: dict = {}
-        if self.cluster is not None and record.spec.benchmark != "adhoc":
+        if record.spec.benchmark != "adhoc":
             mirror = self.cluster.lookup(record.spec.spec_id)
         for technique in record.spec.techniques:
             outcome = fresh.get(technique)
@@ -742,8 +574,6 @@ class ReproService:
                 }
                 continue
             stored = mirror.get(technique)
-            if stored is None and self.store is not None:
-                stored = self.store.lookup(record.spec.spec_id, technique)
             if stored is not None:
                 cells[technique] = dict(stored)
         return cells
@@ -776,7 +606,9 @@ class ReproService:
                     llm.record_success()
 
     def _publish(self, record: JobRecord) -> None:
-        queues = self._watchers.get(record.job_id, [])
+        queues = self._watchers.get(record.job_id)
+        if not queues:
+            return
         frame = event_frame(record)
         for queue in list(queues):
             queue.put_nowait(frame)
@@ -788,11 +620,7 @@ class ReproService:
         while True:
             await asyncio.sleep(0.1)
             self._reap_wedged()
-            if (
-                self.cluster is not None
-                and time.monotonic() - last_reclaim
-                >= _RECLAIM_INTERVAL
-            ):
+            if time.monotonic() - last_reclaim >= _RECLAIM_INTERVAL:
                 last_reclaim = time.monotonic()
                 self._reclaim_orphans()
 
@@ -806,7 +634,6 @@ class ReproService:
         torn submission) and run it through the same ``execute_shard``
         path, so a failed-over cell is byte-identical to an
         uninterrupted one."""
-        assert self.cluster is not None
         if self._draining:
             return
         for job_id, payload, lease in self.cluster.adopt_orphans():
@@ -843,70 +670,15 @@ class ReproService:
 
     # -- durability -----------------------------------------------------------
 
-    def _checkpoint(self) -> None:
-        """Flush the store and write every non-terminal job to the state
-        file — the drain half of the kill-and-resume contract.
-
-        Cluster replicas have no private state file: the handoff is a
-        ``drained`` journal record plus a lease release per pending job,
-        and the surviving replicas' reclaim scans adopt them.
-        """
+    def _hand_off(self) -> None:
+        """The drain: commit whatever landed, then journal ``drained`` for
+        every non-terminal job and release its lease, so the next daemon
+        on this cluster (a restart, or a live peer) adopts it."""
         self._drain_results()
         self.pool.drain_pending()
-        pending_records = [
-            record for record in self._jobs.values() if not record.terminal
-        ]
-        if self.cluster is not None:
-            self.cluster.drain([r.job_id for r in pending_records])
-            return
-        pending = [
-            {"job_id": record.job_id, "spec": record.spec.to_json()}
-            for record in pending_records
-        ]
-        state_path = self.config.resolved_state_path()
-        if pending:
-            atomic_write_json(
-                state_path, {"jobs": pending}, schema=STATE_SCHEMA
-            )
-        else:
-            with contextlib.suppress(OSError):
-                state_path.unlink()
-        self.store.flush()
-
-    def _resume_from_checkpoint(self) -> None:
-        """Re-enqueue every checkpointed job, bypassing admission (they
-        were admitted by the previous incarnation)."""
-        state_path = self.config.resolved_state_path()
-        if not state_path.exists():
-            return
-        try:
-            payload = load_json(state_path, schema=STATE_SCHEMA)
-            entries = list(payload["jobs"])
-        except (CacheCorruptionError, KeyError, TypeError) as error:
-            # Corruption is a miss, never a crash: an unreadable
-            # checkpoint must not block startup.  Record the loss — it
-            # surfaces in `repro jobs --stats` — and start fresh; the
-            # jobs it held will be resubmitted by their clients.
-            self.state_corruptions += 1
-            self.state_failures.append(
-                capture_failure("service.resume", error).to_json()
-            )
-            with contextlib.suppress(OSError):
-                state_path.unlink()
-            return
-        with contextlib.suppress(OSError):
-            state_path.unlink()
-        for entry in entries:
-            try:
-                spec = JobSpec.from_json(entry["spec"])
-                job_id = str(entry["job_id"])
-            except (ProtocolError, KeyError, TypeError):
-                continue
-            self.submit(spec, job_id=job_id, admitted=True)
-            self.resumed_jobs += 1
-            seq = job_id.removeprefix("job-")
-            if seq.isdigit():
-                self._seq = max(self._seq, int(seq))
+        self.cluster.drain(
+            [job_id for job_id, record in self._jobs.items() if not record.terminal]
+        )
 
     # -- wire front end -------------------------------------------------------
 
@@ -965,9 +737,8 @@ class ReproService:
                 "benchmark": self.config.benchmark,
                 "draining": self._draining,
                 "replica": self.replica_id,
+                "cluster_dir": str(self.config.resolved_cluster_dir()),
             }
-            if self.config.clustered:
-                pong["cluster_dir"] = self.config.cluster_dir
             await self._send(writer, pong)
         elif op == "submit":
             await self._op_submit(message, writer)
@@ -1005,11 +776,16 @@ class ReproService:
             )
             return
         record, frame = self.submit(spec)
-        await self._send(writer, frame)
-        if record is None or not message.get("watch", True):
+        watch = record is not None and message.get("watch", True)
+        if watch and record.terminal:
+            # A store hit: the ack and the terminal event leave together.
+            writer.write(
+                encode_message(frame) + encode_message(event_frame(record))
+            )
+            await writer.drain()
             return
-        if record.terminal:
-            await self._send(writer, event_frame(record))
+        await self._send(writer, frame)
+        if not watch:
             return
         queue: asyncio.Queue = asyncio.Queue()
         self._watchers.setdefault(record.job_id, []).append(queue)
@@ -1031,9 +807,7 @@ class ReproService:
         record = self._jobs.get(job_id) if isinstance(job_id, str) else None
         if record is None:
             frame = (
-                self._ledger_status(job_id)
-                if self.cluster is not None and isinstance(job_id, str)
-                else None
+                self._ledger_status(job_id) if isinstance(job_id, str) else None
             )
             if frame is None:
                 frame = error_frame(
@@ -1060,7 +834,6 @@ class ReproService:
         """Answer ``status`` for a job this replica never saw locally, from
         the shared ledger — what lets a failed-over client finish its
         watch against any surviving replica."""
-        assert self.cluster is not None
         view = self.cluster.fold().jobs.get(job_id)
         if view is None:
             return None
@@ -1092,15 +865,12 @@ class ReproService:
             wait = record.queue_wait
             if wait is not None:
                 waits.append(wait)
-        stats = {
+        return {
             "benchmark": self.config.benchmark,
             "draining": self._draining,
             "queued": self.pool.queued(),
             "running": self.pool.running(),
             "jobs_by_state": dict(sorted(states.items())),
-            "resumed_jobs": self.resumed_jobs,
-            "state_corruptions": self.state_corruptions,
-            "state_failures": list(self.state_failures),
             "admission": self.admission.snapshot(),
             "breakers": {
                 name: breaker.snapshot()
@@ -1117,19 +887,13 @@ class ReproService:
                 "p50": round(percentile(waits, 0.50), 6),
                 "p99": round(percentile(waits, 0.99), 6),
             },
-        }
-        if self.cluster is not None:
-            stats["cluster"] = {
+            "cluster": {
                 **self.cluster.snapshot(),
                 "adopted_jobs": self.adopted_jobs,
                 "lease_losses": self.lease_losses,
-                "heartbeats": (
-                    self._heartbeat.beats
-                    if self._heartbeat is not None
-                    else 0
-                ),
-            }
-        return stats
+                "heartbeats": self._heartbeat.beats,
+            },
+        }
 
 
 class ServiceHandle:

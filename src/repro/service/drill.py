@@ -19,17 +19,18 @@ contracts under injected faults; these prove the *service's*:
   trips the LLM breaker after the configured window; further LLM jobs
   fast-fail with ``breaker_open:llm`` while traditional repair continues
   unaffected; a fake-clock breaker walks open → half-open → closed;
-- **service-drain-resume** — a drained daemon checkpoints every pending
-  job; a restarted daemon resumes all of them and produces bit-identical
+- **service-drain-resume** — a drained daemon journals ``drained`` for
+  every pending job; a restarted daemon replays the ledger, adopts all of
+  them under their ids before it listens, and produces bit-identical
   outcomes to a direct execution; a third incarnation serves the same
-  jobs straight from the result store.
+  jobs straight from the store mirror.
 
 ``repro chaos --cluster`` drills the *replicated* tier on top of these:
 
 - **cluster-lease** — fake-clock edge cases of the lease/fencing layer:
   boundary-inclusive expiry, exactly-one-winner adoption of an orphan,
   stale-writer rejection at the shared store, torn-tail tolerance of the
-  job ledger, and quota durability across controller restarts;
+  job ledger, and ledger-folded quotas that survive a replica restart;
 - **cluster-failover** — two ``repro serve`` subprocess replicas share a
   cluster directory; the whole corpus is submitted under the full fault
   plan, then a seeded victim replica is ``kill -9``'d the moment it has
@@ -67,7 +68,6 @@ from repro.chaos.harness import (
 )
 from repro.chaos.plan import FaultPlan, SiteConfig
 from repro.experiments.executor import ShardTask, execute_shard
-from repro.service.admission import QuotaStore
 from repro.service.breaker import BreakerConfig, CircuitBreaker
 from repro.service.client import ServiceClient
 from repro.service.daemon import ServiceConfig, ServiceHandle
@@ -222,7 +222,7 @@ def availability_drill(
                 for spec_id, record in sorted(records.items())
             }
             service_events = list(service.chaos_events)
-            flush_events = list(service.store.events)
+            flush_events = list(service.cluster.events)
             stats = service.stats()
         finally:
             handle.drain()
@@ -364,7 +364,7 @@ def backpressure_drill(seed: int, scale: float) -> DrillResult:
                     )
             # The queue bound is checked before the bucket, so the
             # queue_full rejection must not have burned "other"'s token.
-            tokens = service.admission.bucket_for("other").available
+            tokens = service.cluster.balance("other")
             if tokens < 1.0:
                 drill.violations.append(
                     "queue_full rejection consumed the tenant's token "
@@ -534,7 +534,8 @@ def breaker_drill(seed: int, requested: set[str], scale: float) -> DrillResult:
 
 
 def drain_resume_drill(seed: int, scale: float) -> DrillResult:
-    """Checkpoint on drain; resume bit-identical; then serve from store."""
+    """Journal on drain; adopt by ledger replay, bit-identical; then serve
+    from the store mirror."""
     drill = DrillResult(name="service-drain-resume")
     techniques = ("ATR", "Single-Round_Pass")
     with _temp_cache(), _socket_dir() as sock_dir:
@@ -546,10 +547,19 @@ def drain_resume_drill(seed: int, scale: float) -> DrillResult:
             workers=2,
             job_timeout=None,
         )
-        state_path = config.resolved_state_path()
+        cluster_dir = config.resolved_cluster_dir()
+
+        def replay() -> ClusterFold:
+            fold = ClusterFold()
+            ledger = JobLedger(
+                cluster_dir / "ledger.jsonl", cluster_dir / ".cluster.lock"
+            )
+            for record in ledger.replay():
+                fold.apply(record)
+            return fold
 
         # Phase A: admit jobs into a paused pool, drain — every job must
-        # land in the checkpoint, none executed.
+        # be journaled as drained, none executed.
         handle = ServiceHandle.start(config)
         service_a = handle.service
         spec_ids = sorted(service_a.jobs_corpus_ids())[:6]
@@ -574,19 +584,26 @@ def drain_resume_drill(seed: int, scale: float) -> DrillResult:
             else:
                 job_ids.append(outcome.job_id)
         handle.drain(grace=0.0)
-        if not state_path.exists():
-            drill.violations.append("drain wrote no checkpoint file")
+        drained = sorted(
+            view.job_id
+            for view in replay().jobs.values()
+            if view.state == "drained"
+        )
+        if drained != sorted(job_ids):
+            drill.violations.append(
+                f"drain journaled {len(drained)} of {len(job_ids)} jobs"
+            )
             return drill
 
-        # Phase B: a fresh daemon resumes every checkpointed job and runs
-        # them to completion.
+        # Phase B: a fresh daemon adopts every drained job before it
+        # listens and runs them to completion.
         handle_b = ServiceHandle.start(config)
         service_b = handle_b.service
         try:
-            if service_b.resumed_jobs != len(jobs):
+            if service_b.adopted_jobs != len(jobs):
                 drill.violations.append(
-                    f"resumed {service_b.resumed_jobs} of {len(jobs)} "
-                    "checkpointed jobs"
+                    f"adopted {service_b.adopted_jobs} of {len(jobs)} "
+                    "drained jobs at startup"
                 )
             deadline = time.monotonic() + 120.0
             while time.monotonic() < deadline:
@@ -604,17 +621,17 @@ def drain_resume_drill(seed: int, scale: float) -> DrillResult:
             )
             if resumed_states != ["done"] * len(jobs):
                 drill.violations.append(
-                    f"resumed jobs did not all complete: {resumed_states}"
+                    f"adopted jobs did not all complete: {resumed_states}"
                 )
             if sorted(service_b.jobs) != sorted(job_ids):
                 drill.violations.append(
-                    "resumed job ids diverge from the checkpointed ones"
+                    "adopted job ids diverge from the drained ones"
                 )
         finally:
             handle_b.drain()
-        if state_path.exists():
+        if replay().non_terminal():
             drill.violations.append(
-                "clean drain left a stale checkpoint file behind"
+                "clean drain left non-terminal jobs in the ledger"
             )
 
         # Ground truth: the same cells straight through the engine.
@@ -623,17 +640,17 @@ def drain_resume_drill(seed: int, scale: float) -> DrillResult:
         )
         if resumed_payload != reference_payload:
             drill.violations.append(
-                "resumed outcomes diverge from direct execution"
+                "adopted outcomes diverge from direct execution"
             )
 
         # Phase C: a third incarnation serves the identical jobs from the
-        # result store without executing anything.
+        # store mirror without executing anything.
         handle_c = ServiceHandle.start(config)
         service_c = handle_c.service
         try:
-            if service_c.resumed_jobs != 0:
+            if service_c.adopted_jobs != 0:
                 drill.violations.append(
-                    "third daemon resumed jobs from a supposedly clean state"
+                    "third daemon adopted jobs from a supposedly clean ledger"
                 )
             client_c = ServiceClient(handle_c.socket)
             store_hits = 0
@@ -665,8 +682,8 @@ def drain_resume_drill(seed: int, scale: float) -> DrillResult:
             handle_c.drain()
     drill.detail = {
         "jobs": len(jobs),
-        "checkpointed": len(jobs),
-        "resumed": len(jobs),
+        "drained": len(jobs),
+        "adopted": len(jobs),
         "store_served": len(jobs),
         "payload": {
             spec_id: reference_payload[spec_id]
@@ -794,27 +811,31 @@ def cluster_lease_drill(seed: int) -> DrillResult:
                 f"{fold.fenced_commits} fenced audit record(s), want 1"
             )
 
-        # Quota durability: a debit by one controller is visible to a
-        # fresh one (daemon restart), and a corrupt file is a miss.
-        quotas = QuotaStore(root / "c", clock=clock)
-        if quotas.debit("t1", 1.5, capacity=2.0, refill_rate=0.0) != 0.0:
+        # Quota durability: a debit journaled by one replica is seen by a
+        # reborn one through the ledger fold, and a torn debit is skipped.
+        quotas = ClusterStore(
+            root / "q", "r1", recipe, clock=clock,
+            bucket_capacity=2.0, bucket_refill=0.0,
+        )
+        if quotas.debit("t1", 1.5) != 0.0:
             drill.violations.append("first debit within capacity refused")
-        reborn = QuotaStore(root / "c", clock=clock)
-        if reborn.available("t1", capacity=2.0) != 0.5:
+        reborn = ClusterStore(
+            root / "q", "r2", recipe, clock=clock,
+            bucket_capacity=2.0, bucket_refill=0.0,
+        )
+        if reborn.balance("t1") != 0.5:
             drill.violations.append(
-                "tenant balance did not survive a controller restart: "
-                f"{reborn.available('t1', capacity=2.0)}"
+                "tenant balance did not survive a replica restart: "
+                f"{reborn.balance('t1')}"
             )
-        if reborn.debit("t1", 1.0, capacity=2.0, refill_rate=0.0) <= 0.0:
+        if reborn.debit("t1", 1.0) <= 0.0:
             drill.violations.append("over-capacity debit was not refused")
-        quotas.path.write_text("not json")
-        if reborn.debit("t1", 1.0, capacity=2.0, refill_rate=0.0) != 0.0:
+        with reborn.ledger.path.open("ab") as handle:
+            handle.write(b'{"event":"debit","tenant":"t2","co')
+        reborn.journal("running", "job-q", token=0)
+        if reborn.balance("t2") != 2.0:
             drill.violations.append(
-                "corrupt quota file did not reset to a full bucket"
-            )
-        if reborn.resets != 1:
-            drill.violations.append(
-                f"quota corruption reset counter is {reborn.resets}, want 1"
+                "a torn debit was charged to the tenant's bucket"
             )
     drill.detail = {
         "boundary_inclusive": True,
@@ -848,7 +869,6 @@ def _spawn_replica(
         "--bucket-capacity", "64",
         "--bucket-refill", "64",
         "--no-job-timeout",
-        "--state", str(sock_dir / f"{replica}.state.json"),
         "--cluster-dir", str(cluster_dir),
         "--replica-id", replica,
         "--lease-ttl", str(CLUSTER_LEASE_TTL),

@@ -102,8 +102,11 @@ def file_lock(path: Path) -> Iterator[None]:
     file.  Safe across processes *and* threads (each entry opens its own
     descriptor, and distinct descriptors of one process contend like
     distinct processes); released by the OS if the holder dies."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    handle = os.open(path, os.O_CREAT | os.O_RDWR, 0o644)
+    try:
+        handle = os.open(path, os.O_CREAT | os.O_RDWR, 0o644)
+    except FileNotFoundError:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        handle = os.open(path, os.O_CREAT | os.O_RDWR, 0o644)
     try:
         if fcntl is not None:
             fcntl.flock(handle, fcntl.LOCK_EX)

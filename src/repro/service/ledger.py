@@ -5,9 +5,11 @@ coordinator process; the shared directory *is* the cluster. Its source of
 truth is the :class:`JobLedger` — an append-only, schema-stamped journal
 of job state transitions (``submitted`` → ``leased`` → ``running`` →
 ``done``/``failed``/``drained``, plus ``adopted`` and ``fenced`` audit
-records).  Any replica — or a post-mortem tool — can replay it after a
-``kill -9`` and reconstruct the exact cluster state: which jobs exist,
-who owned them under which fencing token, and which results committed.
+records) and of the tenant quota ``debit`` records admission appends.
+Any replica — or a post-mortem tool — can replay it after a ``kill -9``
+and reconstruct the exact cluster state: which jobs exist, who owned
+them under which fencing token, which results committed, and what each
+tenant has spent.
 
 Durability of the append path is torn-write-proof by construction: every
 record is written as ``\\n<json>\\n`` in a single ``O_APPEND`` write
@@ -20,12 +22,15 @@ happened, the job's lease expires, and a surviving replica adopts and
 re-executes it.
 
 :class:`ClusterStore` is the facade one replica holds: journal + lease
-manager (:mod:`repro.service.lease`) + the shared result-store mirror.
-Its :meth:`~ClusterStore.commit` is the **fencing boundary**: under the
-cluster lock it rejects commits for already-terminal jobs
-(:class:`DuplicateCommitError`) and commits carrying a stale fencing
-token (:class:`StaleWriterError`) — so a paused-then-resumed replica can
-never double-commit a cell, no matter how late it wakes up.
+manager (:mod:`repro.service.lease`) + the shared result-store mirror +
+the tenant token buckets folded from the debits.  A lone daemon is a
+one-replica cluster over ``<socket>.cluster``; there is no other
+durability path.  :meth:`~ClusterStore.commit` is the **fencing
+boundary**: under the cluster lock it rejects commits for
+already-terminal jobs (:class:`DuplicateCommitError`) and commits
+carrying a stale fencing token (:class:`StaleWriterError`) — so a
+paused-then-resumed replica can never double-commit a cell, no matter
+how late it wakes up.
 """
 
 from __future__ import annotations
@@ -43,8 +48,9 @@ from repro import chaos, obs
 from repro.chaos.plan import FaultPlan
 from repro.runtime.errors import CacheCorruptionError
 from repro.runtime.persist import atomic_write_json, load_json
+from repro.service.admission import TokenBucket
 from repro.service.lease import Lease, LeaseManager, file_lock
-from repro.service.protocol import ServiceError
+from repro.service.protocol import ServiceError, canonical_json
 
 LEDGER_SCHEMA = "repro-cluster-ledger/1"
 """First line of every ledger file; bump on any record-shape change."""
@@ -62,7 +68,8 @@ LEDGER_EVENTS = (
     "drained",
     "fenced",
 )
-"""The journal vocabulary, in rough lifecycle order."""
+"""The job-lifecycle vocabulary, in rough lifecycle order.  The ledger
+also carries tenant ``debit`` records, which belong to no job."""
 
 TERMINAL_EVENTS = frozenset({"done", "failed"})
 
@@ -93,10 +100,37 @@ class JobLedger:
 
     def __init__(self, path: Path, lock_path: Path) -> None:
         self.path = Path(path)
+        self._file = os.fspath(self.path)
         self.lock_path = Path(lock_path)
         self._offset = 0
+        self._handle: int | None = None
         self.corrupt_lines = 0
         self.records_read = 0
+
+    def __del__(self, _close=os.close) -> None:
+        if self._handle is not None:
+            _close(self._handle)
+
+    def _opened(self, create: bool) -> tuple[int, os.stat_result] | None:
+        """The ledger's descriptor and its current stat.  One ``O_APPEND``
+        descriptor serves every append and poll; it is reopened when the
+        file was unlinked, and None means there is no ledger yet."""
+        if self._handle is not None:
+            stat = os.fstat(self._handle)
+            if stat.st_nlink:
+                return self._handle, stat
+            os.close(self._handle)
+            self._handle = None
+        flags = os.O_RDWR | os.O_APPEND | (os.O_CREAT if create else 0)
+        try:
+            handle = os.open(self._file, flags, 0o644)
+        except FileNotFoundError:
+            if not create:
+                return None
+            self.path.parent.mkdir(parents=True, exist_ok=True)
+            handle = os.open(self._file, flags, 0o644)
+        self._handle = handle
+        return handle, os.fstat(handle)
 
     # -- writing --------------------------------------------------------------
 
@@ -104,24 +138,31 @@ class JobLedger:
         with file_lock(self.lock_path):
             self.append_locked(record)
 
-    def append_locked(self, record: dict) -> None:
+    def append_locked(self, record: dict, consume: bool = False) -> bool:
         """Append one record; the caller already holds the cluster lock.
 
         The record is framed as ``\\n<json>\\n`` in a single write: the
         leading newline terminates any torn tail a dead replica left, so
         one junk line never swallows a healthy record.
+
+        With ``consume``, a record that lands right at the poll cursor
+        (nothing unread before it) moves the cursor past it and the call
+        returns True: the caller folds the record it holds instead of
+        the next :meth:`poll` reading it back.
         """
-        payload = json.dumps(record, sort_keys=True, separators=(",", ":"))
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        flags = os.O_CREAT | os.O_WRONLY | os.O_APPEND
-        handle = os.open(self.path, flags, 0o644)
-        try:
-            if os.fstat(handle).st_size == 0:
-                header = json.dumps({"schema": LEDGER_SCHEMA})
-                os.write(handle, (header + "\n").encode())
-            os.write(handle, ("\n" + payload + "\n").encode())
-        finally:
-            os.close(handle)
+        line = ("\n" + canonical_json(record) + "\n").encode()
+        handle, stat = self._opened(create=True)
+        start = stat.st_size
+        if start == 0:
+            header = (json.dumps({"schema": LEDGER_SCHEMA}) + "\n").encode()
+            os.write(handle, header)
+            start = len(header)
+        os.write(handle, line)
+        if not consume or start != self._offset:
+            return False
+        self._offset = start + len(line)
+        self.records_read += 1
+        return True
 
     # -- reading --------------------------------------------------------------
 
@@ -158,11 +199,14 @@ class JobLedger:
         flight, or torn by a kill) stays unconsumed until the next append
         terminates it with its leading newline.
         """
-        if not self.path.exists():
+        opened = self._opened(create=False)
+        if opened is None:
             return []
-        with self.path.open("rb") as handle:
-            handle.seek(self._offset)
-            chunk = handle.read()
+        handle, stat = opened
+        unread = stat.st_size - self._offset
+        if unread <= 0:
+            return []
+        chunk = os.pread(handle, unread, self._offset)
         cut = chunk.rfind(b"\n")
         if cut < 0:
             return []
@@ -204,9 +248,17 @@ class JobView:
 
 
 class ClusterFold:
-    """The ledger reduced to per-job state plus the fencing-token trail."""
+    """The ledger reduced to per-job state, the fencing-token trail, and
+    one token bucket per tenant.
 
-    def __init__(self) -> None:
+    ``capacity``/``refill_rate`` shape the buckets the ``debit`` records
+    drain; a fold that only audits jobs can leave the defaults.
+    """
+
+    def __init__(self, capacity: float = 8.0, refill_rate: float = 4.0) -> None:
+        self.capacity = capacity
+        self.refill_rate = refill_rate
+        self.quotas: dict[str, TokenBucket] = {}
         self.jobs: dict[str, JobView] = {}
         self.tokens: list[int] = []
         """Every fencing token in journal issue order (``leased`` and
@@ -214,8 +266,24 @@ class ClusterFold:
         self.fenced_commits = 0
         self.drained = 0
 
+    def bucket(self, tenant: str) -> TokenBucket:
+        """The tenant's bucket as of the last folded debit (full if none)."""
+        bucket = self.quotas.get(tenant)
+        if bucket is None:
+            bucket = TokenBucket(self.capacity, self.refill_rate)
+        return bucket
+
     def apply(self, record: dict) -> None:
         event = record.get("event")
+        if event == "debit":
+            tenant = record.get("tenant")
+            if isinstance(tenant, str):
+                self.quotas[tenant] = bucket = self.bucket(tenant)
+                bucket.take(
+                    float(record.get("ts", 0.0)),
+                    float(record.get("cost", 1.0)),
+                )
+            return
         job_id = record.get("job_id")
         if event not in LEDGER_EVENTS or not isinstance(job_id, str):
             return
@@ -297,10 +365,11 @@ class ClusterStore:
         replica: str,
         recipe: dict,
         ttl: float = 5.0,
-        heartbeat: float | None = None,
         jitter_seed: int = 0,
         clock: Callable[[], float] = time.time,
         chaos_plan: FaultPlan | None = None,
+        bucket_capacity: float = 8.0,
+        bucket_refill: float = 4.0,
     ) -> None:
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
@@ -310,7 +379,6 @@ class ClusterStore:
             self.root,
             replica,
             ttl=ttl,
-            heartbeat=heartbeat,
             jitter_seed=jitter_seed,
             clock=clock,
         )
@@ -323,7 +391,12 @@ class ClusterStore:
         self.store_path = self.root / f"store-{digest}.json"
         self._chaos = chaos_plan
         self._flushes = 0
-        self._fold = ClusterFold()
+        self.events: list[dict] = []
+        """Chaos events fired inside mirror flushes (``persist.*`` audit)."""
+        self._mirror: dict[str, dict] = {}
+        self._mirror_stamp: tuple | None = None
+        self._mirror_lock = threading.Lock()
+        self._fold = ClusterFold(bucket_capacity, bucket_refill)
         self._fold_lock = threading.Lock()
         self.fencing_rejections = 0
         self.duplicate_commits = 0
@@ -341,7 +414,15 @@ class ClusterStore:
         return record
 
     def journal(self, event: str, job_id: str, **fields) -> None:
-        self.ledger.append(self._record(event, job_id, **fields))
+        with file_lock(self.leases._lock_path):
+            self._append_locked(self._record(event, job_id, **fields))
+
+    def _append_locked(self, record: dict) -> None:
+        """Journal one record under the held cluster lock, folding it at
+        once when no peer record is unread before it."""
+        with self._fold_lock:
+            if self.ledger.append_locked(record, consume=True):
+                self._fold.apply(record)
 
     def _refresh_locked(self) -> ClusterFold:
         with self._fold_lock:
@@ -360,11 +441,11 @@ class ClusterStore:
         """Journal a fresh submission and lease it to this replica, as one
         atomic step — there is never a journaled job without an owner."""
         with file_lock(self.leases._lock_path):
-            self.ledger.append_locked(
+            self._append_locked(
                 self._record("submitted", job_id, spec=spec_payload)
             )
             lease = self.leases._grant_locked(job_id)
-            self.ledger.append_locked(
+            self._append_locked(
                 self._record("leased", job_id, token=lease.token)
             )
         self.leases.acquired += 1
@@ -401,7 +482,7 @@ class ClusterStore:
                     # concluding the submission tore.
                     continue
                 fresh = self.leases._grant_locked(view.job_id)
-                self.ledger.append_locked(
+                self._append_locked(
                     self._record("adopted", view.job_id, token=fresh.token)
                 )
                 adopted.append((view.job_id, dict(view.spec), fresh))
@@ -415,7 +496,7 @@ class ClusterStore:
         handoff and release the leases so peers adopt immediately."""
         with file_lock(self.leases._lock_path):
             for job_id in job_ids:
-                self.ledger.append_locked(self._record("drained", job_id))
+                self._append_locked(self._record("drained", job_id))
                 lease = self.leases._read_locked(job_id)
                 if lease is not None and lease.owner == self.replica:
                     try:
@@ -425,6 +506,38 @@ class ClusterStore:
         with self.leases._held_lock:
             for job_id in job_ids:
                 self.leases._held.pop(job_id, None)
+
+    # -- tenant quotas --------------------------------------------------------
+
+    def debit(self, tenant: str, cost: float = 1.0) -> float:
+        """Take ``cost`` tokens from the tenant's cluster-wide bucket.
+
+        Returns 0.0 and appends one ``debit`` record if the bucket holds
+        them, else the seconds until it will (nothing is written).
+        """
+        now = self.clock()
+        with file_lock(self.leases._lock_path):
+            wait = self._refresh_locked().bucket(tenant).wait(now, cost)
+            if wait == 0.0:
+                self._append_locked(
+                    {
+                        "event": "debit",
+                        "tenant": tenant,
+                        "cost": cost,
+                        "replica": self.replica,
+                        "ts": now,
+                    }
+                )
+        return wait
+
+    def balance(self, tenant: str) -> float:
+        """Tokens the tenant's bucket holds now."""
+        now = self.clock()
+        return self.fold().bucket(tenant).level(now)
+
+    def tenants(self) -> list[str]:
+        """Every tenant with a debit in the ledger."""
+        return sorted(self.fold().quotas)
 
     # -- the fencing boundary -------------------------------------------------
 
@@ -445,7 +558,7 @@ class ClusterStore:
         if current_token > token:
             self.fencing_rejections += 1
             _count_lease_metric("service.fencing_rejected")
-            self.ledger.append_locked(
+            self._append_locked(
                 self._record("fenced", job_id, token=token)
             )
             raise StaleWriterError(
@@ -484,7 +597,7 @@ class ClusterStore:
         """
         with file_lock(self.leases._lock_path):
             self._check_commit_locked(job_id, token)
-            self.ledger.append_locked(
+            self._append_locked(
                 self._record(
                     "done",
                     job_id,
@@ -504,44 +617,67 @@ class ClusterStore:
         replica's failure must not clobber an adopted healthy run)."""
         with file_lock(self.leases._lock_path):
             self._check_commit_locked(job_id, token)
-            self.ledger.append_locked(
+            self._append_locked(
                 self._record("failed", job_id, token=token, error=error)
             )
             self._release_locked(job_id, token)
 
     # -- the shared store mirror ----------------------------------------------
 
-    def _load_store_locked(self) -> dict:
-        if not self.store_path.exists():
-            return {}
+    def _mirror_stamp_now(self) -> tuple | None:
         try:
-            payload = load_json(self.store_path, schema=CLUSTER_STORE_SCHEMA)
-            return {spec_id: dict(row) for spec_id, row in payload.items()}
-        except (CacheCorruptionError, AttributeError):
-            return {}  # corruption is a miss: rebuilt by future commits
+            stat = os.stat(self.store_path)
+        except OSError:
+            return None
+        return (stat.st_ino, stat.st_mtime_ns, stat.st_size)
+
+    def _mirror_view_locked(self) -> dict:
+        """The in-memory mirror, re-read only when the file changed.  The
+        file is replaced by rename, so no cluster lock is needed; a
+        corrupt file reads as a miss, rebuilt by future commits."""
+        stamp = self._mirror_stamp_now()
+        if stamp != self._mirror_stamp:
+            cells: dict = {}
+            if stamp is not None:
+                try:
+                    payload = load_json(
+                        self.store_path, schema=CLUSTER_STORE_SCHEMA
+                    )
+                    cells = {
+                        spec_id: dict(row) for spec_id, row in payload.items()
+                    }
+                except (CacheCorruptionError, AttributeError):
+                    cells = {}
+            self._mirror, self._mirror_stamp = cells, stamp
+        return self._mirror
 
     def _merge_store_locked(self, spec_id: str, outcomes: dict) -> None:
-        cells = self._load_store_locked()
-        row = cells.setdefault(spec_id, {})
-        for technique, cell in outcomes.items():
-            if cell.get("status") == "timeout":
-                continue
-            row[technique] = dict(cell)
-        # The chaos scope injects ``persist.*`` faults into the mirror
-        # write.  Its events are not kept: flush counts depend on commit
-        # interleaving, so no drill report could use them.
-        with chaos.install(
-            self._chaos, salt=f"cluster-store:{self.replica}:{self._flushes}"
-        ):
-            self._flushes += 1
-            atomic_write_json(
-                self.store_path, cells, schema=CLUSTER_STORE_SCHEMA
-            )
+        with self._mirror_lock:
+            cells = dict(self._mirror_view_locked())
+            row = dict(cells.get(spec_id, {}))
+            for technique, cell in outcomes.items():
+                if cell.get("status") != "timeout":
+                    row[technique] = dict(cell)
+            cells[spec_id] = row
+            # The chaos scope injects ``persist.*`` faults into the mirror
+            # write.  The view keeps the merged cells either way, so a
+            # corrupted flush is healed by the next one; a peer or a
+            # restart reads the damage as a miss.
+            with chaos.install(
+                self._chaos, salt=f"store:{self._flushes}"
+            ) as scope:
+                self._flushes += 1
+                atomic_write_json(
+                    self.store_path, cells, schema=CLUSTER_STORE_SCHEMA
+                )
+            if scope is not None:
+                self.events.extend(event.to_json() for event in scope.events)
+            self._mirror, self._mirror_stamp = cells, self._mirror_stamp_now()
 
     def lookup(self, spec_id: str) -> dict:
-        """The shared store's row for one spec (tolerant read)."""
-        with file_lock(self.leases._lock_path):
-            return self._load_store_locked().get(spec_id, {})
+        """The shared store's row for one spec (read-only; tolerant)."""
+        with self._mirror_lock:
+            return self._mirror_view_locked().get(spec_id, {})
 
     def missing(self, spec_id: str, techniques: tuple[str, ...]) -> tuple[str, ...]:
         row = self.lookup(spec_id)

@@ -148,7 +148,7 @@ def run_load(
     elif replicas == 1:
         handles = [ServiceHandle.start(config)]
     else:
-        cluster_dir = config.cluster_dir or f"{config.socket}.cluster"
+        cluster_dir = str(config.resolved_cluster_dir())
         handles = [
             ServiceHandle.start(
                 replace(

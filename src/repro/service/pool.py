@@ -151,7 +151,7 @@ class WorkerPool:
 
     def drain_pending(self) -> list[Any]:
         """Atomically remove and return every queued (not started) item —
-        the daemon checkpoints these at shutdown."""
+        the daemon hands these back to the ledger at shutdown."""
         with self._cond:
             pending = [entry.item for entry in sorted(self._heap)]
             self._heap.clear()

@@ -1,6 +1,6 @@
 """The wire protocol and job vocabulary of the repair service.
 
-Everything the daemon, the client, the checkpoint file, and the drills
+Everything the daemon, the client, the cluster ledger, and the drills
 agree on lives here, so the contract is auditable in one place:
 
 - **framing** — one JSON object per line (``\\n``-terminated UTF-8) in
@@ -14,11 +14,11 @@ agree on lives here, so the contract is auditable in one place:
   contract), ``event`` (streamed job-state transitions), ``error``;
 - **jobs** — a :class:`JobSpec` names the work (benchmark spec or ad-hoc
   source, techniques, seed, tenant, priority); it serializes to JSON for
-  the wire *and* for the drain checkpoint, which is what lets a restarted
-  daemon re-hydrate pending jobs bit-for-bit.
+  the wire *and* for the ledger's ``submitted`` records, which is what
+  lets an adopting daemon re-hydrate pending jobs bit-for-bit.
 
 The schema stamps follow the repository convention: bump on any shape
-change so stale peers and stale checkpoint files fail loudly as version
+change so stale peers and stale durable files fail loudly as version
 mismatches instead of misparsing.
 """
 
@@ -33,12 +33,6 @@ from repro.runtime.errors import ReproError
 
 PROTOCOL_SCHEMA = "repro-service/1"
 """Spoken version; the daemon stamps it into every ``ack`` and ``pong``."""
-
-STATE_SCHEMA = "repro-service-state/1"
-"""Schema of the drain checkpoint file (pending jobs at shutdown)."""
-
-STORE_SCHEMA = "repro-service-store/1"
-"""Schema of the incremental result store the daemon flushes cells to."""
 
 CLUSTER_REPORT_SCHEMA = "repro-cluster-chaos/1"
 """Schema of the ``repro chaos --cluster`` drill report."""
@@ -87,7 +81,7 @@ class JobSpec:
     """Everything that *names* one job — the immutable submission payload.
 
     Serializable both ways so the identical object crosses the wire, the
-    drain checkpoint, and the drill's reference re-execution.
+    cluster ledger, and the drill's reference re-execution.
     """
 
     benchmark: str
@@ -207,11 +201,15 @@ class JobRecord:
 # -- framing ------------------------------------------------------------------
 
 
+canonical_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+"""Compact JSON with sorted keys — the one encoding of frames and ledger
+records.  Built once: ``json.dumps`` with options builds a new encoder
+on every call."""
+
+
 def encode_message(message: dict) -> bytes:
     """One frame: compact JSON, sorted keys, newline-terminated."""
-    return (
-        json.dumps(message, sort_keys=True, separators=(",", ":")) + "\n"
-    ).encode("utf-8")
+    return (canonical_json(message) + "\n").encode("utf-8")
 
 
 def decode_message(line: bytes | str) -> dict:

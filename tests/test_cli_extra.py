@@ -69,6 +69,17 @@ class TestChaosSuiteFlags:
         assert exit_info.value.code == EXIT_USAGE
         assert "unrecognized arguments" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flags", [["--state", "x"], ["--heartbeat", "1"]]
+    )
+    def test_serve_has_one_durability_path(self, flags, capsys):
+        # No drain checkpoint and no renewal knob: the ledger is the only
+        # durable state, and leases renew every lease-ttl / 3.
+        with pytest.raises(SystemExit) as exit_info:
+            main(["serve", "--socket", "s.sock", *flags])
+        assert exit_info.value.code == EXIT_USAGE
+        assert "unrecognized arguments" in capsys.readouterr().err
+
 
 class TestNonPositiveCounts:
     """A count of zero or less is rejected, never used as a slice bound."""
@@ -101,7 +112,7 @@ class TestServeTuningValues:
         "flags",
         [
             ["--lease-ttl", "0", "--cluster-dir", "{dir}"],
-            ["--heartbeat", "9", "--cluster-dir", "{dir}"],
+            ["--lease-ttl", "-1"],
             ["--bucket-capacity", "0"],
             ["--bucket-refill", "-1"],
         ],

@@ -1,5 +1,5 @@
-"""Cluster-tier tests: fenced leases, the job ledger, durable quotas,
-client failover, and two in-process replicas handing work over.
+"""Cluster-tier tests: fenced leases, the job ledger, ledger-folded
+quotas, client failover, and two in-process replicas handing work over.
 
 The subprocess ``kill -9`` failover path lives in ``repro chaos
 --cluster``; these tests pin the component contracts with fake clocks
@@ -15,7 +15,6 @@ from pathlib import Path
 import pytest
 
 from repro.experiments.executor import ShardTask, execute_shard
-from repro.service.admission import QuotaStore, SharedTokenBucket
 from repro.service.client import ServiceClient
 from repro.service.daemon import ReproService, ServiceConfig, ServiceHandle
 from repro.service.ledger import (
@@ -31,6 +30,7 @@ from repro.service.lease import (
     LeaseLostError,
     LeaseManager,
 )
+from repro.service.admission import TokenBucket
 from repro.service.protocol import JobSpec, ServiceError
 
 
@@ -290,40 +290,62 @@ class TestClusterStore:
         assert store.missing("S1", ("ATR",)) == ("ATR",)
 
 
+def _quotas(root, replica, clock, capacity, refill):
+    return ClusterStore(
+        root, replica, RECIPE, clock=clock,
+        bucket_capacity=capacity, bucket_refill=refill,
+    )
+
+
 class TestDurableQuotas:
+    """Tenant buckets are ``debit`` records in the ledger, folded per
+    tenant with the token bucket's refill math."""
+
     def test_balance_survives_a_controller_restart(self, tmp_path):
+        # A debit by one replica is seen by a reborn one through the fold.
         clock = _Clock()
-        first = QuotaStore(tmp_path, clock=clock)
-        assert first.debit("t1", 3.0, capacity=4.0, refill_rate=0.0) == 0.0
-        reborn = QuotaStore(tmp_path, clock=clock)
-        assert reborn.available("t1", capacity=4.0) == 1.0
-        assert reborn.debit("t1", 2.0, capacity=4.0, refill_rate=0.0) > 0.0
+        first = _quotas(tmp_path, "r1", clock, 4.0, 0.0)
+        assert first.debit("t1", 3.0) == 0.0
+        reborn = _quotas(tmp_path, "r2", clock, 4.0, 0.0)
+        assert reborn.balance("t1") == 1.0
+        assert reborn.debit("t1", 2.0) > 0.0
+        assert reborn.tenants() == ["t1"]
+        # One admission is one appended record; a refusal writes nothing.
+        debits = [
+            r for r in reborn.ledger.replay() if r["event"] == "debit"
+        ]
+        assert [(r["tenant"], r["cost"], r["replica"]) for r in debits] == [
+            ("t1", 3.0, "r1")
+        ]
 
     def test_refill_uses_the_shared_wall_clock(self, tmp_path):
         clock = _Clock()
-        store = QuotaStore(tmp_path, clock=clock)
-        assert store.debit("t1", 4.0, capacity=4.0, refill_rate=2.0) == 0.0
-        wait = store.debit("t1", 4.0, capacity=4.0, refill_rate=2.0)
+        store = _quotas(tmp_path, "r1", clock, 4.0, 2.0)
+        assert store.debit("t1", 4.0) == 0.0
+        wait = store.debit("t1", 4.0)
         assert wait == pytest.approx(2.0)
         clock.now += 2.0
-        assert store.debit("t1", 4.0, capacity=4.0, refill_rate=2.0) == 0.0
+        assert store.debit("t1", 4.0) == 0.0
 
     def test_corruption_resets_to_full_buckets(self, tmp_path):
         clock = _Clock()
-        store = QuotaStore(tmp_path, clock=clock)
-        store.debit("t1", 4.0, capacity=4.0, refill_rate=0.0)
-        store.path.write_text("junk")
-        assert store.debit("t1", 4.0, capacity=4.0, refill_rate=0.0) == 0.0
-        assert store.resets == 1
+        store = _quotas(tmp_path, "r1", clock, 4.0, 0.0)
+        store.debit("t1", 4.0)
+        # Garble the debit record in place: it stops being a debit.
+        path = store.ledger.path
+        path.write_bytes(path.read_bytes().replace(b'"debit"', b'"deb\x00t'))
+        reborn = _quotas(tmp_path, "r2", clock, 4.0, 0.0)
+        assert reborn.debit("t1", 4.0) == 0.0
+        assert reborn.ledger.corrupt_lines == 1
 
     def test_shared_bucket_has_the_token_bucket_contract(self, tmp_path):
         clock = _Clock()
-        bucket = SharedTokenBucket(
-            QuotaStore(tmp_path, clock=clock), "t1", 2.0, 0.0
-        )
-        assert bucket.acquire(2.0) == 0.0
-        assert bucket.acquire(1.0) > 0.0
-        assert bucket.available == 0.0
+        bucket = TokenBucket(2.0, 0.0)
+        store = _quotas(tmp_path, "r1", clock, 2.0, 0.0)
+        assert store.debit("t1", 2.0) == bucket.wait(clock.now, 2.0) == 0.0
+        bucket.take(clock.now, 2.0)
+        assert store.debit("t1", 1.0) == bucket.wait(clock.now, 1.0) > 0.0
+        assert store.balance("t1") == bucket.level(clock.now) == 0.0
 
 
 def _cluster_config(socket_dir, cluster_dir, replica, **overrides):
@@ -460,6 +482,41 @@ class TestClusterDaemon:
             handle_a.drain(grace=5.0)
 
 
+class TestReplicaRestart:
+    def test_restarted_replica_never_reuses_a_job_id(
+        self, socket_dir, tmp_path
+    ):
+        # A replica reborn under the same id on the same cluster must not
+        # re-issue a previous incarnation's job id: the new job's commit
+        # would be a duplicate, and its client would get the old cells.
+        config = _cluster_config(socket_dir, tmp_path / "cluster", "r0")
+        first = ReproService(config)
+        first.pool.pause()
+        try:
+            spec_ids = sorted(first.jobs_corpus_ids())
+            record, _ = first.submit(
+                JobSpec(
+                    benchmark="arepair", spec_id=spec_ids[0],
+                    techniques=("ATR",),
+                )
+            )
+            assert record.job_id == "job-r0-000001"
+        finally:
+            first.pool.stop()
+        reborn = ReproService(config)
+        reborn.pool.pause()
+        try:
+            record, _ = reborn.submit(
+                JobSpec(
+                    benchmark="arepair", spec_id=spec_ids[1],
+                    techniques=("BeAFix",),
+                )
+            )
+            assert record.job_id == "job-r0-000002"
+        finally:
+            reborn.pool.stop()
+
+
 class TestClientFailover:
     def test_client_rotates_to_a_live_replica(self, socket_dir):
         config = ServiceConfig(
@@ -541,8 +598,21 @@ class TestClientFailover:
             handle_b.drain(grace=5.0)
 
 
-class TestCorruptDrainState:
-    def test_corrupt_checkpoint_is_recorded_not_fatal(self, socket_dir):
+class TestCorruptClusterState:
+    def test_torn_debit_line_is_skipped_and_counted(self, tmp_path):
+        clock = _Clock()
+        store = _quotas(tmp_path, "r1", clock, 2.0, 0.0)
+        assert store.debit("t1", 1.0) == 0.0
+        with store.ledger.path.open("ab") as handle:
+            handle.write(b'{"event":"debit","tenant":"t1","cost":1.0,"ts"')
+        assert store.debit("t1", 1.0) == 0.0
+        reborn = _quotas(tmp_path, "r2", clock, 2.0, 0.0)
+        # Two real debits, one torn: the bucket is empty, not overdrawn.
+        assert reborn.balance("t1") == 0.0
+        assert reborn.ledger.corrupt_lines == 1
+        assert reborn.snapshot()["ledger_corrupt_lines"] == 1
+
+    def test_corrupt_state_does_not_block_startup(self, socket_dir):
         config = ServiceConfig(
             socket=str(Path(socket_dir) / "svc.sock"),
             benchmark="arepair",
@@ -551,18 +621,22 @@ class TestCorruptDrainState:
             workers=1,
             job_timeout=None,
         )
-        config.resolved_state_path().write_text('{"schema": "junk"}')
-        service = ReproService(config)
+        first = ReproService(config)
+        first.pool.stop()
+        first.cluster.store_path.write_text('{"schema": "junk"}')
+        with first.cluster.ledger.path.open("ab") as handle:
+            handle.write(b'{"event":"submitted","job_id":"job-x","sp')
+        handle = ServiceHandle.start(config)
         try:
-            service._resume_from_checkpoint()
-            assert service.resumed_jobs == 0
-            assert service.state_corruptions == 1
-            (failure,) = service.state_failures
-            assert failure["where"] == "service.resume"
-            assert failure["code"] == "cache.corrupt"
-            assert not config.resolved_state_path().exists()
-            stats = service.stats()
-            assert stats["state_corruptions"] == 1
-            assert stats["state_failures"][0]["where"] == "service.resume"
+            spec_id = sorted(handle.service.jobs_corpus_ids())[0]
+            outcome = ServiceClient(handle.socket).submit_retrying(
+                JobSpec(
+                    benchmark="arepair", spec_id=spec_id, techniques=("ATR",)
+                )
+            )
+            assert outcome.state == "done"
+            assert outcome.from_store is False
+            stats = ServiceClient(handle.socket).stats()
+            assert stats["cluster"]["ledger_corrupt_lines"] == 1
         finally:
-            service.pool.stop()
+            handle.drain(grace=5.0)

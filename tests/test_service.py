@@ -1,6 +1,6 @@
 """Service-layer tests: protocol framing, admission control, circuit
-breakers, the warm worker pool, the incremental result store, and the
-daemon's drain/resume contract.
+breakers, the warm worker pool, the result-store mirror, and the
+daemon's drain/adopt contract.
 
 The expensive end-to-end paths (chaos under load, SLO assertions) live in
 ``repro chaos --service``; these tests pin the component contracts with
@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 from repro.experiments.executor import ShardTask, execute_shard
-from repro.experiments.runner import SpecOutcome
+from repro.obs.metrics import Histogram, percentile
 from repro.service.admission import AdmissionController, TokenBucket
 from repro.service.breaker import (
     BreakerClient,
@@ -26,11 +26,11 @@ from repro.service.breaker import (
 from repro.service.client import ServiceClient
 from repro.service.daemon import (
     ReproService,
-    ResultStore,
     ServiceConfig,
     ServiceHandle,
-    percentile,
+    store_recipe,
 )
+from repro.service.ledger import ClusterFold, ClusterStore, JobLedger
 from repro.service.pool import WorkerPool
 from repro.service.protocol import (
     JobRecord,
@@ -161,19 +161,22 @@ class TestProtocol:
 
 class TestTokenBucket:
     def test_drains_then_reports_the_exact_wait(self):
-        now = [0.0]
-        bucket = TokenBucket(capacity=2, refill_rate=0.5, clock=lambda: now[0])
-        assert bucket.acquire() == 0.0
-        assert bucket.acquire() == 0.0
+        bucket = TokenBucket(capacity=2, refill_rate=0.5)
+        for _ in range(2):
+            assert bucket.wait(0.0) == 0.0
+            bucket.take(0.0)
         # Empty: one token at 0.5/s is 2 seconds away.
-        assert bucket.acquire() == pytest.approx(2.0)
-        now[0] = 2.0
-        assert bucket.acquire() == 0.0
+        assert bucket.wait(0.0) == pytest.approx(2.0)
+        assert bucket.level(0.0) == 0.0
+        assert bucket.wait(2.0) == 0.0
+        # Refill is capped: a long idle spell holds only the capacity.
+        assert bucket.level(100.0) == 2.0
 
     def test_unrefillable_bucket_reports_the_horizon_not_infinity(self):
-        bucket = TokenBucket(capacity=1, refill_rate=0.0, clock=lambda: 0.0)
-        assert bucket.acquire() == 0.0
-        assert bucket.acquire() == 3600.0
+        bucket = TokenBucket(capacity=1, refill_rate=0.0)
+        assert bucket.wait(0.0) == 0.0
+        bucket.take(0.0)
+        assert bucket.wait(10.0) == 3600.0
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -193,10 +196,6 @@ class TestServiceConfigValidation:
             (dict(bucket_capacity=-2.0), "bucket_capacity"),
             (dict(bucket_refill=-1.0), "bucket_refill"),
             (dict(lease_ttl=0), "lease_ttl"),
-            (dict(lease_heartbeat=9.0), "lease_heartbeat"),
-            (dict(lease_heartbeat=5.0), "lease_heartbeat"),
-            (dict(lease_heartbeat=0.0), "lease_heartbeat"),
-            (dict(lease_ttl=2.0, lease_heartbeat=3.0), "lease_heartbeat"),
         ],
     )
     def test_rejects(self, socket_dir, overrides, field):
@@ -204,33 +203,38 @@ class TestServiceConfigValidation:
             _config(socket_dir, **overrides)
 
     def test_accepts_boundary_values(self, socket_dir):
-        config = _config(
-            socket_dir, bucket_refill=0.0, lease_ttl=5.0, lease_heartbeat=4.9
-        )
+        config = _config(socket_dir, bucket_refill=0.0, lease_ttl=5.0)
         assert config.bucket_refill == 0.0
-        assert config.lease_heartbeat == 4.9
-        assert _config(socket_dir).lease_heartbeat is None
+        assert config.lease_ttl == 5.0
+        # A lone daemon is a one-replica cluster next to its socket.
+        assert config.resolved_cluster_dir() == Path(f"{config.socket}.cluster")
+
+
+def _quotas(tmp_path, now, capacity, refill):
+    """Ledger-backed tenant buckets on a fake clock."""
+    return ClusterStore(
+        tmp_path / "cluster", "r1", {"b": "test"}, clock=lambda: now[0],
+        bucket_capacity=capacity, bucket_refill=refill,
+    )
 
 
 class TestAdmissionController:
-    def test_full_queue_rejects_without_spending_tokens(self):
+    def test_full_queue_rejects_without_spending_tokens(self, tmp_path):
         now = [0.0]
-        controller = AdmissionController(
-            max_queue=2, bucket_capacity=4, bucket_refill=0.0,
-            clock=lambda: now[0],
-        )
+        quotas = _quotas(tmp_path, now, capacity=4, refill=0.0)
+        controller = AdmissionController(quotas, max_queue=2)
         verdict = controller.admit("t1", queue_depth=2)
         assert not verdict.admitted
         assert verdict.reason == "queue_full"
         assert verdict.retry_after > 0
         # The queue gate ran first: the tenant's budget is intact.
-        assert controller.bucket_for("t1").available == 4.0
+        assert quotas.balance("t1") == 4.0
+        assert quotas.tenants() == []
 
-    def test_rate_limit_recovers_with_the_clock(self):
+    def test_rate_limit_recovers_with_the_clock(self, tmp_path):
         now = [0.0]
         controller = AdmissionController(
-            max_queue=64, bucket_capacity=1, bucket_refill=2.0,
-            clock=lambda: now[0],
+            _quotas(tmp_path, now, capacity=1, refill=2.0), max_queue=64
         )
         assert controller.admit("t1", queue_depth=0).admitted
         verdict = controller.admit("t1", queue_depth=0)
@@ -241,10 +245,9 @@ class TestAdmissionController:
         now[0] = 0.5
         assert controller.admit("t1", queue_depth=0).admitted
 
-    def test_snapshot_counts_verdicts(self):
+    def test_snapshot_counts_verdicts(self, tmp_path):
         controller = AdmissionController(
-            max_queue=1, bucket_capacity=1, bucket_refill=0.0,
-            clock=lambda: 0.0,
+            _quotas(tmp_path, [0.0], capacity=1, refill=0.0), max_queue=1
         )
         controller.admit("a", queue_depth=0)
         controller.admit("a", queue_depth=0)
@@ -422,40 +425,51 @@ class TestWorkerPool:
 
 
 class TestResultStore:
-    def _store(self, socket_dir):
-        return ResultStore(_config(socket_dir))
+    """The daemon's result store is the cluster's store mirror, read
+    through an in-memory view that is re-read only when the file changes."""
 
-    def _outcome(self, status="not_fixed", rep=1):
-        return SpecOutcome(
-            spec_id="s", technique="ATR", rep=rep, tm=0.5, sm=0.25,
-            status=status, elapsed=0.1,
+    def _store(self, socket_dir, replica="r1"):
+        config = _config(socket_dir)
+        return ClusterStore(
+            config.resolved_cluster_dir(), replica, store_recipe(config)
         )
+
+    def _cell(self, status="not_fixed", rep=1):
+        return {"rep": rep, "tm": 0.5, "sm": 0.25, "status": status,
+                "elapsed": 0.1, "error_code": None}
+
+    def _commit(self, store, job_id, outcomes):
+        lease = store.register(job_id, {"spec_id": "s"})
+        store.commit(job_id, "s", outcomes, lease.token)
 
     def test_round_trips_and_skips_timeout_cells(self, socket_dir):
         store = self._store(socket_dir)
-        store.merge("s", {
-            "ATR": self._outcome(),
-            "BeAFix": self._outcome(status="timeout", rep=0),
+        self._commit(store, "job-1", {
+            "ATR": self._cell(),
+            "BeAFix": self._cell(status="timeout", rep=0),
         })
-        store.flush()
-        again = self._store(socket_dir)
-        assert again.lookup("s", "ATR")["rep"] == 1
+        again = self._store(socket_dir, replica="r2")
+        assert again.lookup("s")["ATR"]["rep"] == 1
         # Timeout cells are execution artifacts: never persisted, so a
-        # resumed job recomputes them.
-        assert again.lookup("s", "BeAFix") is None
+        # resubmitted job recomputes them.
+        assert "BeAFix" not in again.lookup("s")
         assert again.missing("s", ("ATR", "BeAFix")) == ("BeAFix",)
 
     def test_corrupt_store_is_a_miss_not_a_crash(self, socket_dir):
         store = self._store(socket_dir)
-        store.merge("s", {"ATR": self._outcome()})
-        store.flush()
-        store.path.write_text('{"schema": "repro-service-store/1", "data":')
-        healed = self._store(socket_dir)
-        assert healed.cells == {}
-        # The next flush rewrites the whole store from memory.
-        healed.merge("s", {"ATR": self._outcome()})
-        healed.flush()
-        assert self._store(socket_dir).lookup("s", "ATR")["rep"] == 1
+        self._commit(store, "job-1", {"ATR": self._cell()})
+        store.store_path.write_text(
+            '{"schema": "repro-cluster-store/1", "data":'
+        )
+        # The view notices the file changed and reads the damage as a miss.
+        assert store.lookup("s") == {}
+        healed = self._store(socket_dir, replica="r2")
+        assert healed.lookup("s") == {}
+        # The next commit rewrites the mirror.
+        self._commit(healed, "job-2", {"ATR": self._cell()})
+        assert self._store(socket_dir, replica="r3").lookup("s")["ATR"][
+            "rep"
+        ] == 1
 
     def test_percentile_is_nearest_rank(self):
         # Nearest rank: the ceil(q * n)-th smallest value.
@@ -472,6 +486,13 @@ class TestResultStore:
         assert percentile(ten, 0.50) == 5.0
         assert percentile(ten, 0.90) == 9.0
         assert percentile(values, 0.07) == 7.0
+        # Histograms report the same definition as the daemon's stats.
+        histogram = Histogram()
+        for value in (1.0, 2.0, 3.0, 4.0):
+            histogram.observe(value)
+        summary = histogram.summary()
+        assert summary["p50"] == percentile([1.0, 2.0, 3.0, 4.0], 0.50) == 2.0
+        assert summary["p90"] == 4.0
 
 
 class TestServiceSubmission:
@@ -524,17 +545,16 @@ class TestServiceSubmission:
 
 
 class TestDrainResume:
-    """The kill-and-restart contract: checkpointed jobs resume under a new
-    incarnation and produce results bit-identical to a direct run."""
+    """The kill-and-restart contract: drained jobs are adopted by the next
+    incarnation, keep their ids, and produce results bit-identical to a
+    direct run."""
 
-    def test_resumed_jobs_match_a_direct_run(self, socket_dir):
-        config = _config(socket_dir)
-
-        # Incarnation one admits jobs but never runs them (paused pool),
-        # then drains: every job must land in the checkpoint.
+    def _admit_and_drain(self, config, count):
+        """Incarnation one admits jobs into a paused pool, then drains:
+        every job must be journaled ``drained``, none executed."""
         first = ReproService(config)
         first.pool.pause()
-        spec_ids = first.jobs_corpus_ids()[:2]
+        spec_ids = first.jobs_corpus_ids()[:count]
         assert spec_ids, "scaled benchmark should not be empty"
         job_ids = []
         for spec_id in spec_ids:
@@ -544,10 +564,29 @@ class TestDrainResume:
             )
             assert frame["type"] == "ack"
             job_ids.append(record.job_id)
-        first._checkpoint()
+        first._hand_off()
         first.pool.stop()
-        state_path = config.resolved_state_path()
-        assert state_path.exists()
+        return first, spec_ids, job_ids
+
+    def _fold(self, config):
+        cluster_dir = config.resolved_cluster_dir()
+        fold = ClusterFold()
+        for record in JobLedger(
+            cluster_dir / "ledger.jsonl", cluster_dir / ".cluster.lock"
+        ).replay():
+            fold.apply(record)
+        return fold
+
+    def test_resumed_jobs_match_a_direct_run(self, socket_dir, monkeypatch):
+        import repro.service.daemon as daemon
+
+        config = _config(socket_dir)
+        first, spec_ids, job_ids = self._admit_and_drain(config, 2)
+        assert sorted(
+            view.job_id
+            for view in self._fold(config).jobs.values()
+            if view.state == "drained"
+        ) == sorted(job_ids)
 
         # The reference: the same cells computed directly by the engine.
         reference = {}
@@ -562,24 +601,39 @@ class TestDrainResume:
                 for t, o in result.outcomes.items()
             }
 
-        # Incarnation two resumes the checkpoint and executes.
-        revived = ReproService(config)
+        # Incarnation two adopts the drained jobs before it listens.
+        at_listen = {}
+        listen = daemon.asyncio.start_unix_server
+
+        async def spy(*args, **kwargs):
+            at_listen["jobs"] = sorted(handle_service.jobs)
+            at_listen["adopted"] = handle_service.adopted_jobs
+            return await listen(*args, **kwargs)
+
+        monkeypatch.setattr(daemon.asyncio, "start_unix_server", spy)
+        handle_service = ReproService(config)
+        thread = threading.Thread(
+            target=lambda: daemon.asyncio.run(handle_service.serve()),
+            daemon=True,
+        )
+        thread.start()
+        handle = ServiceHandle(handle_service, thread)
         try:
-            revived._resume_from_checkpoint()
-            assert revived.resumed_jobs == len(spec_ids)
-            assert not state_path.exists()
-            assert sorted(revived.jobs) == sorted(job_ids)
+            assert handle_service.started.wait(60.0)
+            assert at_listen == {"jobs": sorted(job_ids), "adopted": 2}
             assert _wait(
-                lambda: all(r.terminal for r in revived.jobs.values())
+                lambda: all(r.terminal for r in handle_service.jobs.values())
             )
             for job_id in job_ids:
-                record = revived.jobs[job_id]
+                record = handle_service.jobs[job_id]
+                assert record.adopted is True
                 assert record.state is JobState.DONE
                 assert _projection(record.outcomes) == (
                     reference[record.spec.spec_id]
                 )
         finally:
-            revived.pool.stop()
+            handle.drain(grace=5.0)
+        assert self._fold(config).non_terminal() == []
 
         # Incarnation three finds everything in the store: jobs complete
         # without executing anything.
@@ -597,23 +651,47 @@ class TestDrainResume:
         finally:
             third.pool.stop()
 
-    def test_clean_drain_leaves_no_checkpoint(self, socket_dir):
+    def test_clean_drain_leaves_nothing_to_adopt(self, socket_dir):
         config = _config(socket_dir)
         service = ReproService(config)
         try:
-            service._checkpoint()
-            assert not config.resolved_state_path().exists()
+            service._hand_off()
+            assert self._fold(config).non_terminal() == []
         finally:
             service.pool.stop()
+        reborn = ReproService(config)
+        try:
+            reborn._reclaim_orphans()
+            assert reborn.adopted_jobs == 0
+        finally:
+            reborn.pool.stop()
 
-    def test_unreadable_checkpoint_does_not_block_startup(self, socket_dir):
+    def test_store_hit_leaves_no_lease_no_record_no_rewrite(
+        self, socket_dir
+    ):
         config = _config(socket_dir)
-        config.resolved_state_path().write_text("{not json")
         service = ReproService(config)
         try:
-            service._resume_from_checkpoint()
-            assert service.resumed_jobs == 0
-            assert not config.resolved_state_path().exists()
+            spec_id = service.jobs_corpus_ids()[0]
+            job = JobSpec(
+                benchmark="arepair", spec_id=spec_id, techniques=("ATR",)
+            )
+            record, _ = service.submit(job)
+            assert _wait(lambda: record.terminal)
+            cluster_dir = config.resolved_cluster_dir()
+            mirror = service.cluster.store_path
+            before = mirror.stat()
+            ledger_jobs = set(self._fold(config).jobs)
+            hit, _ = service.submit(job)
+            assert hit.from_store is True and hit.state is JobState.DONE
+            assert hit.outcomes == record.outcomes
+            assert list((cluster_dir / "leases").iterdir()) == []
+            assert set(self._fold(config).jobs) == ledger_jobs
+            assert hit.job_id not in ledger_jobs
+            after = mirror.stat()
+            assert (after.st_ino, after.st_mtime_ns) == (
+                before.st_ino, before.st_mtime_ns
+            )
         finally:
             service.pool.stop()
 
