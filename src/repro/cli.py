@@ -398,8 +398,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="DIR",
         help="the cluster directory this daemon is a replica of "
-        "(ledger-journaled jobs, fenced leases, shared store, durable "
-        "quotas); share it to run a fleet (default: <socket>.cluster)",
+        "(ledger-journaled jobs, leases and quotas, shared store); "
+        "share it to run a fleet (default: <socket>.cluster)",
     )
     serve.add_argument(
         "--replica-id",
@@ -412,8 +412,9 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=5.0,
         metavar="SECONDS",
-        help="lease lifetime without renewal before peers adopt the job "
-        "(renewed every lease-ttl / 3)",
+        help="lease lifetime without renewal before peers adopt the job; "
+        "the heartbeat appends one ledger record per lease-ttl / 3 while "
+        "this replica holds a job",
     )
     serve.add_argument(
         "--chaos-plan",

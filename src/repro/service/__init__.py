@@ -22,12 +22,12 @@ solvers wedge, LLM backends flap, and load spikes.  The pieces:
   drain journals its in-flight jobs so a restarted daemon adopts them;
 - :mod:`repro.service.client` — the blocking socket client behind
   ``repro submit`` / ``repro jobs``;
-- :mod:`repro.service.lease` — fenced, heartbeat-renewed job leases: the
-  ownership layer that makes ``repro serve`` replicas safe to ``kill -9`` (monotonic fencing tokens, deterministic jitter,
-  expiry-driven adoption);
 - :mod:`repro.service.ledger` — the append-only, replayable cluster job
   journal and the fenced shared result-store mirror
-  (:class:`~repro.service.ledger.ClusterStore`): at-most-once commits,
+  (:class:`~repro.service.ledger.ClusterStore`).  The journal is the one
+  durable record: job ownership (fenced, heartbeat-renewed leases with
+  monotonic tokens and expiry-driven adoption, which make ``repro
+  serve`` replicas safe to ``kill -9``), at-most-once commits,
   at-least-once execution, durable tenant quotas;
 - :mod:`repro.service.loadgen` — the synthetic-client load harness
   (``--replicas N`` spreads the fleet across a hosted cluster);
@@ -62,12 +62,6 @@ from repro.service.ledger import (
     JobLedger,
     StaleWriterError,
 )
-from repro.service.lease import (
-    Lease,
-    LeaseError,
-    LeaseLostError,
-    LeaseManager,
-)
 from repro.service.protocol import (
     PROTOCOL_SCHEMA,
     JobSpec,
@@ -92,10 +86,6 @@ __all__ = [
     "JobSpec",
     "JobState",
     "LEDGER_SCHEMA",
-    "Lease",
-    "LeaseError",
-    "LeaseLostError",
-    "LeaseManager",
     "PROTOCOL_SCHEMA",
     "ProtocolError",
     "ServiceError",

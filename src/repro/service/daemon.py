@@ -19,12 +19,12 @@ One process, three layers:
 Durability has one path: every daemon is a replica of a cluster
 (:mod:`repro.service.ledger`), and a lone daemon is a one-replica cluster
 over ``<socket>.cluster``.  Jobs are journaled in the ledger and owned
-through fenced leases, committed cells merge into the shared store mirror
-(atomic, schema-stamped, corruption-tolerant — the same persistence
-contract as the matrix cache), and tenant quotas are ledger debits.
-Graceful drain (SIGTERM/SIGINT or the ``drain`` op) journals ``drained``
-for every non-terminal job and releases its lease; a restarted daemon
-adopts those jobs, keeping their ids, before it listens, and serves
+through the fenced leases it records, committed cells merge into the
+shared store mirror (atomic, schema-stamped, corruption-tolerant — the
+same persistence contract as the matrix cache), and tenant quotas are
+ledger debits.  Graceful drain (SIGTERM/SIGINT or the ``drain`` op)
+journals ``drained`` for every job it holds a lease on; a restarted
+daemon adopts those jobs, keeping their ids, before it listens, and serves
 already-committed cells from the mirror — so a kill-and-restart loses
 nothing and recomputes nothing it already had, the service-mode mirror of
 ``run_matrix``'s resume-from-flushed-shards guarantee.  A store hit takes
@@ -64,10 +64,10 @@ from repro.obs.metrics import percentile
 from repro.repair import registry
 from repro.service.admission import AdmissionController
 from repro.service.breaker import BreakerConfig, CircuitBreaker
-from repro.service.lease import HeartbeatLoop
 from repro.service.ledger import (
     ClusterStore,
     DuplicateCommitError,
+    HeartbeatLoop,
     StaleWriterError,
 )
 from repro.service.protocol import (
@@ -117,8 +117,8 @@ class ServiceConfig:
     breaker: BreakerConfig = field(default_factory=BreakerConfig)
     cluster_dir: str | None = None
     """The cluster directory this daemon is a replica of: jobs are
-    journaled in its ledger, owned via fenced leases, committed to its
-    store mirror, and rate-limited by its durable quotas
+    journaled in its ledger, owned via the leases it records, committed
+    to its store mirror, and rate-limited by its durable quotas
     (:mod:`repro.service.ledger`).  Default ``<socket>.cluster``: a lone
     daemon is a one-replica cluster."""
     replica_id: str | None = None
@@ -200,7 +200,7 @@ class ReproService:
             bucket_refill=config.bucket_refill,
         )
         self._heartbeat = HeartbeatLoop(
-            self.cluster.leases, on_lost=self._on_lease_lost
+            self.cluster, on_lost=self._on_lease_lost
         )
         self.admission = AdmissionController(
             self.cluster, max_queue=config.max_queue
@@ -332,9 +332,7 @@ class ReproService:
                 return record, ack_frame(job_id, record.state)
         # Journal the submission and take the lease in one atomic cluster
         # lock step: the job is durable before it is acked.
-        record.lease_token = self.cluster.register(
-            job_id, spec.to_json()
-        ).token
+        record.lease_token = self.cluster.register(job_id, spec.to_json())
         self.pool.submit(
             record, priority=spec.priority, cost=self._cost(spec)
         )
@@ -636,7 +634,7 @@ class ReproService:
         uninterrupted one."""
         if self._draining:
             return
-        for job_id, payload, lease in self.cluster.adopt_orphans():
+        for job_id, payload, token in self.cluster.adopt_orphans():
             try:
                 spec = JobSpec.from_json(payload)
             except ProtocolError:
@@ -650,7 +648,7 @@ class ReproService:
                 )
                 self._jobs[job_id] = record
             record.adopted = True
-            record.lease_token = lease.token
+            record.lease_token = token
             self.adopted_jobs += 1
             self.pool.submit(
                 record, priority=spec.priority, cost=self._cost(spec)
@@ -672,13 +670,11 @@ class ReproService:
 
     def _hand_off(self) -> None:
         """The drain: commit whatever landed, then journal ``drained`` for
-        every non-terminal job and release its lease, so the next daemon
+        every job this replica still holds a lease on, so the next daemon
         on this cluster (a restart, or a live peer) adopts it."""
         self._drain_results()
         self.pool.drain_pending()
-        self.cluster.drain(
-            [job_id for job_id, record in self._jobs.items() if not record.terminal]
-        )
+        self.cluster.drain()
 
     # -- wire front end -------------------------------------------------------
 

@@ -27,7 +27,7 @@ contracts under injected faults; these prove the *service's*:
 
 ``repro chaos --cluster`` drills the *replicated* tier on top of these:
 
-- **cluster-lease** — fake-clock edge cases of the lease/fencing layer:
+- **cluster-lease** — fake-clock edge cases of the ledger-kept leases:
   boundary-inclusive expiry, exactly-one-winner adoption of an orphan,
   stale-writer rejection at the shared store, torn-tail tolerance of the
   job ledger, and ledger-folded quotas that survive a replica restart;
@@ -78,7 +78,6 @@ from repro.service.ledger import (
     JobLedger,
     StaleWriterError,
 )
-from repro.service.lease import LeaseError, LeaseManager
 from repro.service.loadgen import plan_jobs, run_load
 from repro.service.protocol import (
     CLUSTER_REPORT_SCHEMA,
@@ -711,45 +710,46 @@ def cluster_lease_drill(seed: int) -> DrillResult:
 
         # Boundary-inclusive expiry: alive strictly before ``expires_at``,
         # expired the exact instant ``now == expires_at``.
-        m1 = LeaseManager(root / "l", "r1", ttl=5.0, clock=clock)
-        m2 = LeaseManager(root / "l", "r2", ttl=5.0, clock=clock)
-        lease = m1.acquire("job-a")
-        if m1.is_expired(lease, lease.expires_at - 1e-6):
+        recipe = {"drill": "cluster-lease", "seed": seed}
+        owner = ClusterStore(root / "l", "r1", recipe, ttl=5.0, clock=clock)
+        peer = ClusterStore(root / "l", "r2", recipe, ttl=5.0, clock=clock)
+        token = owner.register("job-a", {"spec_id": "A"})
+        expires_at = owner.fold().jobs["job-a"].expires_at
+        now[0] = expires_at - 1e-6
+        if peer.adopt_orphans():
             drill.violations.append("lease expired before its boundary")
-        if not m1.is_expired(lease, lease.expires_at):
+
+        # Adoption race: at the boundary two would-be adopters contend
+        # and exactly one wins; the loser folds the winner's fresh lease
+        # and adopts nothing instead of double-owning.
+        now[0] = expires_at
+        winners = [
+            adopted
+            for store in (peer, owner)
+            for _, _, adopted in store.adopt_orphans()
+        ]
+        if not winners:
             drill.violations.append(
                 "lease not expired exactly at expires_at (must be "
                 "boundary-inclusive)"
             )
-
-        # Adoption race: with the lease expired, two would-be adopters
-        # contend and exactly one wins; the loser sees the winner's fresh
-        # lease and raises instead of double-owning.
-        now[0] = lease.expires_at
-        winners = []
-        for manager in (m2, m1):
-            try:
-                winners.append(manager.adopt("job-a"))
-            except LeaseError:
-                pass
-        if len(winners) != 1:
+        elif len(winners) != 1:
             drill.violations.append(
                 f"{len(winners)} adopters won the same orphan (want 1)"
             )
-        elif winners[0].token <= lease.token:
+        elif winners[0] <= token:
             drill.violations.append(
                 "adoption did not advance the fencing token: "
-                f"{winners[0].token} <= {lease.token}"
+                f"{winners[0]} <= {token}"
             )
 
         # Stale-writer fencing at the shared store: the original owner's
         # commit (token t1) must be rejected after adoption (token t2),
         # leaving the mirror untouched; the adopter's commit lands.
-        recipe = {"drill": "cluster-lease", "seed": seed}
         cs1 = ClusterStore(root / "c", "r1", recipe, ttl=5.0, clock=clock)
         cs2 = ClusterStore(root / "c", "r2", recipe, ttl=5.0, clock=clock)
         stale = cs1.register("job-1", {"spec_id": "S1"})
-        cs1.mark_running("job-1", stale.token)
+        cs1.mark_running("job-1", stale)
         now[0] += 5.0
         adopted = cs2.adopt_orphans()
         if [job_id for job_id, _, _ in adopted] != ["job-1"]:
@@ -758,7 +758,7 @@ def cluster_lease_drill(seed: int) -> DrillResult:
             )
         cell = {"rep": 1, "tm": 0.25, "sm": 0.5, "status": "correct"}
         try:
-            cs1.commit("job-1", "S1", {"ATR": dict(cell)}, stale.token)
+            cs1.commit("job-1", "S1", {"ATR": dict(cell)}, stale)
             drill.violations.append("stale writer's commit was accepted")
         except StaleWriterError:
             pass
@@ -768,7 +768,7 @@ def cluster_lease_drill(seed: int) -> DrillResult:
             )
         if adopted:
             cs2.commit(
-                "job-1", "S1", {"ATR": dict(cell)}, adopted[0][2].token
+                "job-1", "S1", {"ATR": dict(cell)}, adopted[0][2]
             )
         if cs1.lookup("S1").get("ATR") != cell:
             drill.violations.append(

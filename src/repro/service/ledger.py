@@ -5,11 +5,12 @@ coordinator process; the shared directory *is* the cluster. Its source of
 truth is the :class:`JobLedger` — an append-only, schema-stamped journal
 of job state transitions (``submitted`` → ``leased`` → ``running`` →
 ``done``/``failed``/``drained``, plus ``adopted`` and ``fenced`` audit
-records) and of the tenant quota ``debit`` records admission appends.
-Any replica — or a post-mortem tool — can replay it after a ``kill -9``
-and reconstruct the exact cluster state: which jobs exist, who owned
-them under which fencing token, which results committed, and what each
-tenant has spent.
+records), of the ``renewed`` records the heartbeat appends, and of the
+tenant quota ``debit`` records admission appends.  Any replica — or a
+post-mortem tool — can replay it after a ``kill -9`` and reconstruct the
+exact cluster state: which jobs exist, who owns them under which fencing
+token until when, which results committed, and what each tenant has
+spent.
 
 Durability of the append path is torn-write-proof by construction: every
 record is written as ``\\n<json>\\n`` in a single ``O_APPEND`` write
@@ -21,20 +22,38 @@ the at-most-once commit rule: a commit whose append tore simply never
 happened, the job's lease expires, and a surviving replica adopts and
 re-executes it.
 
-:class:`ClusterStore` is the facade one replica holds: journal + lease
-manager (:mod:`repro.service.lease`) + the shared result-store mirror +
-the tenant token buckets folded from the debits.  A lone daemon is a
-one-replica cluster over ``<socket>.cluster``; there is no other
+**Leases are ledger records.**  A job is owned by the replica named in
+its latest ``leased``/``adopted`` record, under that record's fencing
+token, until its ``expires_at``; a ``renewed`` record (one per heartbeat,
+listing the replica's ``{job_id: token}`` pairs) moves the expiry of
+every pair whose token is still current, and a terminal or ``drained``
+record ends ownership.  Expiry is boundary-inclusive (``now >=
+expires_at``).  A fresh token is 1 + the largest token the fold has seen,
+drawn under the cluster lock right after the fold catches up, so the
+token order totally orders every ownership change.  Heartbeat pacing is
+deterministically jittered — each beat's delay is a third of the TTL
+scaled by a factor drawn from ``sha256(seed:replica:beat)`` — so a fleet
+started together does not renew in lockstep, yet every schedule
+reproduces.
+
+:class:`ClusterStore` is the facade one replica holds: journal + the
+in-memory fold of it + the shared result-store mirror.  A lone daemon is
+a one-replica cluster over ``<socket>.cluster``; there is no other
 durability path.  :meth:`~ClusterStore.commit` is the **fencing
 boundary**: under the cluster lock it rejects commits for
 already-terminal jobs (:class:`DuplicateCommitError`) and commits
 carrying a stale fencing token (:class:`StaleWriterError`) — so a
 paused-then-resumed replica can never double-commit a cell, no matter
 how late it wakes up.
+
+All mutations serialize through one cluster lock file via ``flock``; the
+OS releases the lock when a holder dies, so a ``kill -9`` mid-operation
+never wedges the cluster.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import os
@@ -42,15 +61,19 @@ import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterator
 
 from repro import chaos, obs
 from repro.chaos.plan import FaultPlan
 from repro.runtime.errors import CacheCorruptionError
 from repro.runtime.persist import atomic_write_json, load_json
 from repro.service.admission import TokenBucket
-from repro.service.lease import Lease, LeaseManager, file_lock
 from repro.service.protocol import ServiceError, canonical_json
+
+try:  # POSIX only; the service tier is unix-socket based anyway.
+    import fcntl
+except ImportError:  # pragma: no cover - non-posix fallback
+    fcntl = None  # type: ignore[assignment]
 
 LEDGER_SCHEMA = "repro-cluster-ledger/1"
 """First line of every ledger file; bump on any record-shape change."""
@@ -69,9 +92,36 @@ LEDGER_EVENTS = (
     "fenced",
 )
 """The job-lifecycle vocabulary, in rough lifecycle order.  The ledger
-also carries tenant ``debit`` records, which belong to no job."""
+also carries heartbeat ``renewed`` and tenant ``debit`` records, which
+belong to no job."""
 
 TERMINAL_EVENTS = frozenset({"done", "failed"})
+
+_LEASE_ENDED = TERMINAL_EVENTS | {"drained"}
+"""Job states in which the last lease no longer owns the job; only a
+new ``adopted`` lease owns a drained job."""
+
+
+@contextlib.contextmanager
+def file_lock(path: Path) -> Iterator[None]:
+    """A cluster-wide critical section: ``flock`` on a dedicated lock
+    file.  Safe across processes *and* threads (each entry opens its own
+    descriptor, and distinct descriptors of one process contend like
+    distinct processes); released by the OS if the holder dies."""
+    try:
+        handle = os.open(path, os.O_CREAT | os.O_RDWR, 0o644)
+    except FileNotFoundError:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        handle = os.open(path, os.O_CREAT | os.O_RDWR, 0o644)
+    try:
+        if fcntl is not None:
+            fcntl.flock(handle, fcntl.LOCK_EX)
+        yield
+    finally:
+        with contextlib.suppress(OSError):
+            if fcntl is not None:
+                fcntl.flock(handle, fcntl.LOCK_UN)
+        os.close(handle)
 
 
 class StaleWriterError(ServiceError):
@@ -234,6 +284,9 @@ class JobView:
     state: str = "submitted"
     owner: str = ""
     token: int = 0
+    expires_at: float = 0.0
+    """When the current lease lapses unless renewed (``leased``,
+    ``adopted`` and ``renewed`` records move it)."""
     outcomes: dict = field(default_factory=dict)
     executed: bool = False
     error: str | None = None
@@ -246,10 +299,15 @@ class JobView:
     def terminal(self) -> bool:
         return self.state in TERMINAL_EVENTS
 
+    def held_under(self, token) -> bool:
+        """Whether ``token`` is the live lease: the job's current token
+        on a job no terminal or ``drained`` record has ended."""
+        return self.token == token and self.state not in _LEASE_ENDED
+
 
 class ClusterFold:
-    """The ledger reduced to per-job state, the fencing-token trail, and
-    one token bucket per tenant.
+    """The ledger reduced to per-job state and leases, the fencing-token
+    trail, and one token bucket per tenant.
 
     ``capacity``/``refill_rate`` shape the buckets the ``debit`` records
     drain; a fold that only audits jobs can leave the defaults.
@@ -263,8 +321,10 @@ class ClusterFold:
         self.tokens: list[int] = []
         """Every fencing token in journal issue order (``leased`` and
         ``adopted`` records) — the drill asserts strict monotonicity."""
+        self.max_token = 0
+        """The largest token any folded record carries; the next one
+        drawn is one more."""
         self.fenced_commits = 0
-        self.drained = 0
 
     def bucket(self, tenant: str) -> TokenBucket:
         """The tenant's bucket as of the last folded debit (full if none)."""
@@ -284,11 +344,25 @@ class ClusterFold:
                     float(record.get("cost", 1.0)),
                 )
             return
+        if event == "renewed":
+            leases = record.get("leases")
+            if isinstance(leases, dict):
+                expires_at = float(record.get("expires_at", 0.0))
+                for job_id, token in leases.items():
+                    if not isinstance(token, int):
+                        continue
+                    self.max_token = max(self.max_token, token)
+                    view = self.jobs.get(job_id)
+                    if view is not None and view.held_under(token):
+                        view.expires_at = expires_at
+            return
         job_id = record.get("job_id")
         if event not in LEDGER_EVENTS or not isinstance(job_id, str):
             return
         view = self.jobs.setdefault(job_id, JobView(job_id=job_id))
         view.last_ts = float(record.get("ts", view.last_ts))
+        if isinstance(record.get("token"), int):
+            self.max_token = max(self.max_token, record["token"])
         if event == "fenced":
             self.fenced_commits += 1
             return
@@ -303,18 +377,20 @@ class ClusterFold:
             self.tokens.append(token)
             view.token = token
             view.owner = str(record.get("replica", view.owner))
+            view.expires_at = float(record.get("expires_at", 0.0))
             if event == "adopted":
                 view.adoptions += 1
             if not view.terminal:
                 view.state = "leased"
             return
         if event == "running":
-            if not view.terminal:
+            if view.state not in _LEASE_ENDED:
                 view.state = "running"
             return
         if event == "drained":
-            self.drained += 1
-            if not view.terminal:
+            # Only the live lease can hand a job back; a drain under a
+            # token someone has since fenced away changes nothing.
+            if view.held_under(record.get("token")):
                 view.state = "drained"
             return
         if event == "done":
@@ -354,9 +430,11 @@ def _count_lease_metric(name: str) -> None:
 class ClusterStore:
     """One replica's handle on the shared cluster directory.
 
-    Composes the journal, the lease manager, and the shared result-store
-    mirror, and owns every multi-step transition that must be atomic
-    under the cluster lock (register, adopt, commit).
+    Composes the journal, its fold, and the shared result-store mirror,
+    and owns every multi-step transition that must be atomic under the
+    cluster lock (register, adopt, renew, commit, drain).  The leases
+    this replica holds are mirrored in memory (``{job_id: token}``) so
+    the heartbeat knows what to renew; the fold is the source of truth.
     """
 
     def __init__(
@@ -371,20 +449,16 @@ class ClusterStore:
         bucket_capacity: float = 8.0,
         bucket_refill: float = 4.0,
     ) -> None:
+        if ttl <= 0:
+            raise ValueError(f"ttl must be > 0, got {ttl}")
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
         self.replica = replica
+        self.ttl = float(ttl)
+        self.jitter_seed = jitter_seed
         self.clock = clock
-        self.leases = LeaseManager(
-            self.root,
-            replica,
-            ttl=ttl,
-            jitter_seed=jitter_seed,
-            clock=clock,
-        )
-        self.ledger = JobLedger(
-            self.root / "ledger.jsonl", self.leases._lock_path
-        )
+        self.lock_path = self.root / ".cluster.lock"
+        self.ledger = JobLedger(self.root / "ledger.jsonl", self.lock_path)
         digest = hashlib.sha256(
             json.dumps(recipe, sort_keys=True).encode()
         ).hexdigest()[:12]
@@ -398,6 +472,11 @@ class ClusterStore:
         self._mirror_lock = threading.Lock()
         self._fold = ClusterFold(bucket_capacity, bucket_refill)
         self._fold_lock = threading.Lock()
+        self._held: dict[str, int] = {}
+        self._held_lock = threading.Lock()
+        self.acquired = 0
+        self.adopted = 0
+        self.lost = 0
         self.fencing_rejections = 0
         self.duplicate_commits = 0
 
@@ -414,7 +493,7 @@ class ClusterStore:
         return record
 
     def journal(self, event: str, job_id: str, **fields) -> None:
-        with file_lock(self.leases._lock_path):
+        with file_lock(self.lock_path):
             self._append_locked(self._record(event, job_id, **fields))
 
     def _append_locked(self, record: dict) -> None:
@@ -432,80 +511,136 @@ class ClusterStore:
 
     def fold(self) -> ClusterFold:
         """The current cluster state (incremental journal refresh)."""
-        with file_lock(self.leases._lock_path):
+        with file_lock(self.lock_path):
             return self._refresh_locked()
+
+    # -- leases ---------------------------------------------------------------
+
+    def _grant_locked(self, event: str, job_id: str) -> int:
+        """Lease a job to this replica under a fresh fencing token: one
+        more than any token the caught-up fold has seen.  The refresh
+        also folds an own record that landed behind a torn tail, so two
+        grants under one lock never draw the same token."""
+        token = self._refresh_locked().max_token + 1
+        now = self.clock()
+        self._append_locked(
+            self._record(
+                event, job_id, token=token, expires_at=round(now + self.ttl, 6)
+            )
+        )
+        with self._held_lock:
+            self._held[job_id] = token
+        return token
+
+    def _release_locked(self, job_id: str, token: int) -> None:
+        with self._held_lock:
+            if self._held.get(job_id) == token:
+                del self._held[job_id]
+
+    def renew(self) -> list[str]:
+        """One heartbeat: extend every lease this replica still holds with
+        one ``renewed`` record, and return (and forget) the job ids the
+        fold shows were fenced away or finished elsewhere.  Holding no
+        job, it takes no lock and writes nothing."""
+        if not self._held:
+            return []
+        now = self.clock()
+        with file_lock(self.lock_path):
+            jobs = self._refresh_locked().jobs
+            with self._held_lock:
+                lost = sorted(
+                    job_id
+                    for job_id, token in self._held.items()
+                    if job_id not in jobs or not jobs[job_id].held_under(token)
+                )
+                for job_id in lost:
+                    del self._held[job_id]
+                kept = dict(sorted(self._held.items()))
+            if kept:
+                self._append_locked(
+                    {
+                        "event": "renewed",
+                        "replica": self.replica,
+                        "ts": round(now, 6),
+                        "expires_at": round(now + self.ttl, 6),
+                        "leases": kept,
+                    }
+                )
+        self.lost += len(lost)
+        return lost
+
+    def heartbeat_delay(self, beat: int) -> float:
+        """Delay before heartbeat number ``beat``: a third of the TTL
+        scaled by a deterministic factor in [0.5, 1.0) drawn from
+        ``sha256(seed:replica:beat)`` — seeded jitter, same contract as
+        :class:`repro.runtime.retry.RetryPolicy.jitter_seed`."""
+        digest = hashlib.sha256(
+            f"{self.jitter_seed}:{self.replica}:{beat}".encode()
+        ).digest()
+        unit = int.from_bytes(digest[:8], "big") / 2**64
+        return self.ttl / 3.0 * (0.5 + 0.5 * unit)
 
     # -- lifecycle transitions ------------------------------------------------
 
-    def register(self, job_id: str, spec_payload: dict) -> Lease:
+    def register(self, job_id: str, spec_payload: dict) -> int:
         """Journal a fresh submission and lease it to this replica, as one
-        atomic step — there is never a journaled job without an owner."""
-        with file_lock(self.leases._lock_path):
+        atomic step — there is never a journaled job without an owner.
+        Returns the lease's fencing token."""
+        with file_lock(self.lock_path):
             self._append_locked(
                 self._record("submitted", job_id, spec=spec_payload)
             )
-            lease = self.leases._grant_locked(job_id)
-            self._append_locked(
-                self._record("leased", job_id, token=lease.token)
-            )
-        self.leases.acquired += 1
+            token = self._grant_locked("leased", job_id)
+        self.acquired += 1
         _count_lease_metric("service.lease_acquired")
-        return lease
+        return token
 
     def mark_running(self, job_id: str, token: int) -> None:
         self.journal("running", job_id, token=token)
 
-    def adopt_orphans(self) -> list[tuple[str, dict, Lease]]:
-        """Scan for orphaned jobs and take them over.
+    def adopt_orphans(self) -> list[tuple[str, dict, int]]:
+        """Scan for orphaned jobs and take them over, returning
+        ``(job_id, spec, token)`` for each.
 
         Orphaned = journaled non-terminal and either explicitly drained,
-        holding an expired lease, or lease-less for longer than one TTL
-        (a torn submission).  All checks and the takeover happen under
-        one cluster lock, so of N racing replicas exactly one adopts any
-        given job.
+        holding a lease that expired (``now >= expires_at``, whoever held
+        it — a replica restarted under the same id included), or never
+        leased for at least one TTL (a torn submission).  All checks and
+        the takeover happen under one cluster lock, so of N racing
+        replicas exactly one adopts any given job.
         """
-        adopted: list[tuple[str, dict, Lease]] = []
+        adopted: list[tuple[str, dict, int]] = []
         now = self.clock()
-        ttl = self.leases.ttl
-        with file_lock(self.leases._lock_path):
+        with file_lock(self.lock_path):
             fold = self._refresh_locked()
             for view in sorted(fold.non_terminal(), key=lambda v: v.job_id):
                 if view.spec is None:
                     continue
-                lease = self.leases._read_locked(view.job_id)
-                if lease is not None:
-                    if not self.leases.is_expired(lease, now):
+                if view.state != "drained":
+                    if view.token and now < view.expires_at:
                         continue
-                elif view.state != "drained" and now - view.last_ts < ttl:
-                    # Recently journaled and never leased: give the
-                    # submitting replica its grace window before
-                    # concluding the submission tore.
-                    continue
-                fresh = self.leases._grant_locked(view.job_id)
-                self._append_locked(
-                    self._record("adopted", view.job_id, token=fresh.token)
-                )
-                adopted.append((view.job_id, dict(view.spec), fresh))
-        self.leases.adopted += len(adopted)
+                    if not view.token and now - view.last_ts < self.ttl:
+                        # Recently journaled and never leased: give the
+                        # submitting replica its grace window before
+                        # concluding the submission tore.
+                        continue
+                token = self._grant_locked("adopted", view.job_id)
+                adopted.append((view.job_id, dict(view.spec), token))
+        self.adopted += len(adopted)
         for _ in adopted:
             _count_lease_metric("service.lease_adopted")
         return adopted
 
-    def drain(self, job_ids: list[str]) -> None:
-        """Give up ownership of non-terminal jobs at shutdown: journal the
-        handoff and release the leases so peers adopt immediately."""
-        with file_lock(self.leases._lock_path):
-            for job_id in job_ids:
-                self._append_locked(self._record("drained", job_id))
-                lease = self.leases._read_locked(job_id)
-                if lease is not None and lease.owner == self.replica:
-                    try:
-                        self.leases._lease_path(job_id).unlink()
-                    except OSError:  # pragma: no cover - already gone
-                        pass
-        with self.leases._held_lock:
-            for job_id in job_ids:
-                self.leases._held.pop(job_id, None)
+    def drain(self) -> None:
+        """Hand every held lease back at shutdown: journal ``drained``
+        under each lease's token so peers (or a restart) adopt at once."""
+        with file_lock(self.lock_path):
+            with self._held_lock:
+                held, self._held = sorted(self._held.items()), {}
+            for job_id, token in held:
+                self._append_locked(
+                    self._record("drained", job_id, token=token)
+                )
 
     # -- tenant quotas --------------------------------------------------------
 
@@ -516,7 +651,7 @@ class ClusterStore:
         them, else the seconds until it will (nothing is written).
         """
         now = self.clock()
-        with file_lock(self.leases._lock_path):
+        with file_lock(self.lock_path):
             wait = self._refresh_locked().bucket(tenant).wait(now, cost)
             if wait == 0.0:
                 self._append_locked(
@@ -542,20 +677,19 @@ class ClusterStore:
     # -- the fencing boundary -------------------------------------------------
 
     def _check_commit_locked(self, job_id: str, token: int) -> None:
-        fold = self._refresh_locked()
-        view = fold.jobs.get(job_id)
-        if view is not None and view.terminal:
+        view = self._refresh_locked().jobs.get(job_id)
+        if view is None:
+            return
+        if view.terminal:
             self.duplicate_commits += 1
             raise DuplicateCommitError(
                 f"job {job_id} is already terminal ({view.state})",
                 context={"job_id": job_id},
             )
-        current = self.leases._read_locked(job_id)
-        current_token = max(
-            current.token if current is not None else 0,
-            view.token if view is not None else 0,
-        )
-        if current_token > token:
+        # Fenced by a newer lease, or handed back by a drain (a worker
+        # finishing during shutdown): either way this writer's lease
+        # has ended, and the job's next owner re-runs it.
+        if not view.held_under(token):
             self.fencing_rejections += 1
             _count_lease_metric("service.fencing_rejected")
             self._append_locked(
@@ -563,19 +697,9 @@ class ClusterStore:
             )
             raise StaleWriterError(
                 f"commit for {job_id} carries stale token {token} "
-                f"(current {current_token})",
+                f"(current {view.token}, {view.state})",
                 context={"job_id": job_id, "token": token},
             )
-
-    def _release_locked(self, job_id: str, token: int) -> None:
-        current = self.leases._read_locked(job_id)
-        if current is not None and current.token == token:
-            try:
-                self.leases._lease_path(job_id).unlink()
-            except OSError:  # pragma: no cover - already gone
-                pass
-        with self.leases._held_lock:
-            self.leases._held.pop(job_id, None)
 
     def commit(
         self,
@@ -590,12 +714,12 @@ class ClusterStore:
         """Commit a job's cells: the at-most-once boundary.
 
         Under the cluster lock: reject if terminal (duplicate) or fenced
-        (stale token); otherwise journal the ``done`` record, fold the
-        cells into the shared store mirror (unless ``merge_store`` is
-        off — ad-hoc jobs have no corpus identity to cache under), and
-        release the lease.
+        (stale token); otherwise journal the ``done`` record — which ends
+        the lease — and fold the cells into the shared store mirror
+        (unless ``merge_store`` is off — ad-hoc jobs have no corpus
+        identity to cache under).
         """
-        with file_lock(self.leases._lock_path):
+        with file_lock(self.lock_path):
             self._check_commit_locked(job_id, token)
             self._append_locked(
                 self._record(
@@ -615,7 +739,7 @@ class ClusterStore:
     def commit_failed(self, job_id: str, token: int, error: str) -> None:
         """Journal a FAILED terminal state (same fencing rules: a fenced
         replica's failure must not clobber an adopted healthy run)."""
-        with file_lock(self.leases._lock_path):
+        with file_lock(self.lock_path):
             self._check_commit_locked(job_id, token)
             self._append_locked(
                 self._record("failed", job_id, token=token, error=error)
@@ -686,17 +810,63 @@ class ClusterStore:
     # -- introspection --------------------------------------------------------
 
     def snapshot(self) -> dict:
-        with self.leases._held_lock:
-            held = sorted(self.leases._held)
+        with self._held_lock:
+            held = sorted(self._held)
         return {
             "replica": self.replica,
             "leases_held": held,
-            "lease_ttl": self.leases.ttl,
-            "acquired": self.leases.acquired,
-            "adopted": self.leases.adopted,
-            "lost": self.leases.lost,
+            "lease_ttl": self.ttl,
+            "acquired": self.acquired,
+            "adopted": self.adopted,
+            "lost": self.lost,
             "fencing_rejections": self.fencing_rejections,
             "duplicate_commits": self.duplicate_commits,
             "ledger_records": self.ledger.records_read,
             "ledger_corrupt_lines": self.ledger.corrupt_lines,
         }
+
+
+class HeartbeatLoop:
+    """The background renewal thread one cluster replica runs.
+
+    Each tick is one :meth:`ClusterStore.renew`; every job the fold shows
+    was fenced away fires ``on_lost(job_id)`` once, so the daemon can
+    stop trusting its in-flight execution of that job (the commit path
+    would fence it anyway — this is the early warning)."""
+
+    def __init__(
+        self,
+        store: ClusterStore,
+        on_lost: Callable[[str], None] | None = None,
+    ) -> None:
+        self.store = store
+        self.on_lost = on_lost
+        self._stop = threading.Event()
+        self._thread: threading.Thread | None = None
+        self.beats = 0
+
+    def start(self) -> None:
+        self._thread = threading.Thread(
+            target=self._run,
+            name=f"repro-lease-heartbeat-{self.store.replica}",
+            daemon=True,
+        )
+        self._thread.start()
+
+    def stop(self, timeout: float = 5.0) -> None:
+        self._stop.set()
+        if self._thread is not None:
+            self._thread.join(timeout=timeout)
+
+    def beat(self) -> None:
+        self.beats += 1
+        for job_id in self.store.renew():
+            if self.on_lost is not None:
+                self.on_lost(job_id)
+
+    def _run(self) -> None:
+        while not self._stop.wait(self.store.heartbeat_delay(self.beats)):
+            try:
+                self.beat()
+            except OSError:  # pragma: no cover - transient fs trouble
+                continue

@@ -1,5 +1,5 @@
-"""Cluster-tier tests: fenced leases, the job ledger, ledger-folded
-quotas, client failover, and two in-process replicas handing work over.
+"""Cluster-tier tests: ledger-kept fenced leases, the job ledger,
+ledger-folded quotas, client failover, and two in-process replicas handing work over.
 
 The subprocess ``kill -9`` failover path lives in ``repro chaos
 --cluster``; these tests pin the component contracts with fake clocks
@@ -17,18 +17,14 @@ import pytest
 from repro.experiments.executor import ShardTask, execute_shard
 from repro.service.client import ServiceClient
 from repro.service.daemon import ReproService, ServiceConfig, ServiceHandle
+from repro.service import ledger as ledger_module
 from repro.service.ledger import (
     ClusterFold,
     ClusterStore,
     DuplicateCommitError,
+    HeartbeatLoop,
     JobLedger,
     StaleWriterError,
-)
-from repro.service.lease import (
-    HeartbeatLoop,
-    LeaseError,
-    LeaseLostError,
-    LeaseManager,
 )
 from repro.service.admission import TokenBucket
 from repro.service.protocol import JobSpec, ServiceError
@@ -68,35 +64,47 @@ class _Clock:
 RECIPE = {"b": "arepair", "s": 0}
 
 
+def _pair(root, clock, ttl=5.0, other_ttl=None):
+    return (
+        ClusterStore(root, "r1", RECIPE, ttl=ttl, clock=clock),
+        ClusterStore(root, "r2", RECIPE, ttl=other_ttl or ttl, clock=clock),
+    )
+
+
 class TestLeaseManager:
+    """The lease rules, kept in the ledger fold and checked through
+    ``ClusterStore`` on a fake clock."""
+
     def test_expiry_is_boundary_inclusive(self, tmp_path):
         clock = _Clock()
-        manager = LeaseManager(tmp_path, "r1", ttl=5.0, clock=clock)
-        lease = manager.acquire("job-1")
-        assert not manager.is_expired(lease, lease.expires_at - 1e-6)
-        assert manager.is_expired(lease, lease.expires_at)
+        owner, peer = _pair(tmp_path, clock)
+        owner.register("job-1", {"spec_id": "S1"})
+        expires_at = owner.fold().jobs["job-1"].expires_at
+        assert expires_at == clock.now + 5.0
+        clock.now = expires_at - 1e-6
+        assert peer.adopt_orphans() == []
+        clock.now = expires_at
+        assert [job for job, _, _ in peer.adopt_orphans()] == ["job-1"]
 
     def test_expiry_exactly_at_heartbeat_boundary(self, tmp_path):
         # A replica that renews at exactly expires_at has already lost:
         # an adopter observing the same instant wins first.
         clock = _Clock()
-        m1 = LeaseManager(tmp_path, "r1", ttl=3.0, clock=clock)
-        m2 = LeaseManager(tmp_path, "r2", ttl=3.0, clock=clock)
-        lease = m1.acquire("job-1")
-        clock.now = lease.expires_at
-        adopted = m2.adopt("job-1")
-        assert adopted.token > lease.token
-        with pytest.raises(LeaseLostError):
-            m1.renew(lease)
-        assert m1.lost == 1
+        owner, peer = _pair(tmp_path, clock, ttl=3.0)
+        token = owner.register("job-1", {"spec_id": "S1"})
+        clock.now = owner.fold().jobs["job-1"].expires_at
+        ((_, _, adopted),) = peer.adopt_orphans()
+        assert adopted > token
+        assert owner.renew() == ["job-1"]
+        assert owner.lost == 1
 
     def test_two_replicas_racing_to_adopt_one_wins(self, tmp_path):
         clock = _Clock()
-        owner = LeaseManager(tmp_path, "r0", ttl=1.0, clock=clock)
-        lease = owner.acquire("job-1")
-        clock.now = lease.expires_at + 1.0
-        managers = [
-            LeaseManager(tmp_path, f"r{i}", ttl=30.0, clock=clock)
+        owner = ClusterStore(tmp_path, "r0", RECIPE, ttl=1.0, clock=clock)
+        token = owner.register("job-1", {"spec_id": "S1"})
+        clock.now += 2.0
+        stores = [
+            ClusterStore(tmp_path, f"r{i}", RECIPE, ttl=30.0, clock=clock)
             for i in (1, 2)
         ]
         outcomes: list = [None, None]
@@ -104,10 +112,7 @@ class TestLeaseManager:
 
         def race(index):
             barrier.wait()
-            try:
-                outcomes[index] = managers[index].adopt("job-1")
-            except LeaseError as error:
-                outcomes[index] = error
+            outcomes[index] = stores[index].adopt_orphans()
 
         threads = [
             threading.Thread(target=race, args=(i,)) for i in range(2)
@@ -116,60 +121,149 @@ class TestLeaseManager:
             thread.start()
         for thread in threads:
             thread.join()
-        winners = [o for o in outcomes if not isinstance(o, Exception)]
-        losers = [o for o in outcomes if isinstance(o, LeaseError)]
-        assert len(winners) == 1 and len(losers) == 1
-        assert winners[0].token > lease.token
+        assert sorted(len(adopted) for adopted in outcomes) == [0, 1]
+        ((job_id, _, won),) = outcomes[0] or outcomes[1]
+        assert job_id == "job-1" and won > token
 
     def test_renewal_extends_and_keeps_the_token(self, tmp_path):
         clock = _Clock()
-        manager = LeaseManager(tmp_path, "r1", ttl=5.0, clock=clock)
-        lease = manager.acquire("job-1")
+        owner, peer = _pair(tmp_path, clock)
+        token = owner.register("job-1", {"spec_id": "S1"})
         clock.now += 4.0
-        renewed = manager.renew(lease)
-        assert renewed.token == lease.token
-        assert renewed.expires_at == clock.now + 5.0
+        assert owner.renew() == []
+        view = peer.fold().jobs["job-1"]
+        assert view.token == token
+        assert view.expires_at == clock.now + 5.0
+        clock.now += 4.0  # past the first expiry, inside the renewed one
+        assert peer.adopt_orphans() == []
+        (renewed,) = [
+            r for r in owner.ledger.replay() if r["event"] == "renewed"
+        ]
+        assert renewed["leases"] == {"job-1": token}
+        assert renewed["replica"] == "r1"
 
-    def test_corrupt_fence_counter_never_reuses_a_token(self, tmp_path):
+    def test_tokens_stay_monotonic_across_restarts_and_a_torn_lease(
+        self, tmp_path
+    ):
         clock = _Clock()
-        manager = LeaseManager(tmp_path, "r1", ttl=5.0, clock=clock)
-        high = max(manager.acquire(f"job-{i}").token for i in range(3))
-        manager._fence_path.write_text("scrambled")
-        fresh = manager.acquire("job-9")
-        assert fresh.token > high
+        first = ClusterStore(tmp_path, "r1", RECIPE, clock=clock)
+        high = max(first.register(f"job-{i}", {}) for i in range(3))
+        with first.ledger.path.open("ab") as handle:
+            handle.write(b'{"event":"leased","job_id":"job-x","token":9')
+        tokens = [high]
+        for generation in range(3):
+            reborn = ClusterStore(tmp_path, "r1", RECIPE, clock=clock)
+            tokens.append(reborn.register(f"job-g{generation}", {}))
+        assert tokens == sorted(set(tokens))
+        fold = ClusterFold()
+        for record in JobLedger(first.ledger.path, first.lock_path).replay():
+            fold.apply(record)
+        assert fold.tokens_monotonic()
+        assert fold.tokens == list(range(1, high + 4))
+        assert "job-x" not in fold.jobs
 
     def test_heartbeat_jitter_is_deterministic_and_bounded(self, tmp_path):
-        manager = LeaseManager(tmp_path, "r1", ttl=6.0, jitter_seed=7)
-        twin = LeaseManager(tmp_path, "r1", ttl=6.0, jitter_seed=7)
-        other = LeaseManager(tmp_path, "r2", ttl=6.0, jitter_seed=7)
-        delays = [manager.heartbeat_delay(beat) for beat in range(8)]
+        store = ClusterStore(tmp_path, "r1", RECIPE, ttl=6.0, jitter_seed=7)
+        twin = ClusterStore(tmp_path, "r1", RECIPE, ttl=6.0, jitter_seed=7)
+        other = ClusterStore(tmp_path, "r2", RECIPE, ttl=6.0, jitter_seed=7)
+        delays = [store.heartbeat_delay(beat) for beat in range(8)]
         assert delays == [twin.heartbeat_delay(beat) for beat in range(8)]
         assert delays != [other.heartbeat_delay(beat) for beat in range(8)]
-        base = manager.heartbeat
+        base = store.ttl / 3.0
         assert all(base * 0.5 <= d < base for d in delays)
 
     def test_heartbeat_loop_reports_a_lost_lease(self, tmp_path):
-        manager = LeaseManager(tmp_path, "r1", ttl=0.4, heartbeat=0.05)
-        rival = LeaseManager(tmp_path, "r2", ttl=30.0)
-        lease = manager.acquire("job-1")
+        store = ClusterStore(tmp_path, "r1", RECIPE, ttl=0.6)
+        rival = ClusterStore(tmp_path, "r2", RECIPE, ttl=30.0)
+        token = store.register("job-1", {"spec_id": "S1"})
         lost: list[str] = []
-        loop = HeartbeatLoop(manager, on_lost=lost.append)
+        loop = HeartbeatLoop(store, on_lost=lost.append)
         loop.start()
         try:
-            time.sleep(0.5)  # let the lease lapse without pausing renewals
+            time.sleep(0.9)  # longer than the TTL: only renewals keep it
+            view = rival.fold().jobs["job-1"]
+            assert view.token == token and view.expires_at > time.time()
+            assert rival.adopt_orphans() == []
         finally:
             loop.stop()
-        # Renewals kept it alive the whole time; now fence it out.
-        current = manager.current("job-1")
-        assert current is not None and current.token == lease.token
-        time.sleep(0.45)
-        rival.adopt("job-1")
-        loop2 = HeartbeatLoop(manager, on_lost=lost.append)
+        # With the heartbeat stopped the lease lapses; fence it out.
+        assert _wait(lambda: rival.adopt_orphans() != [], timeout=5.0)
+        loop2 = HeartbeatLoop(store, on_lost=lost.append)
         loop2.start()
         try:
             assert _wait(lambda: lost == ["job-1"], timeout=5.0)
         finally:
             loop2.stop()
+        assert lost == ["job-1"]
+
+    def test_stale_renewal_does_not_extend_the_adopters_lease(
+        self, tmp_path
+    ):
+        clock = _Clock()
+        owner, peer = _pair(tmp_path, clock)
+        stale = owner.register("job-1", {"spec_id": "S1"})
+        clock.now += 5.0
+        ((_, _, fresh),) = peer.adopt_orphans()
+        expires_at = peer.fold().jobs["job-1"].expires_at
+        # A paused holder's renewal lands after the adoption.
+        owner.ledger.append(
+            {
+                "event": "renewed",
+                "replica": "r1",
+                "ts": clock.now,
+                "expires_at": clock.now + 60.0,
+                "leases": {"job-1": stale},
+            }
+        )
+        view = peer.fold().jobs["job-1"]
+        assert (view.token, view.expires_at) == (fresh, expires_at)
+        clock.now = expires_at
+        third = ClusterStore(tmp_path, "r3", RECIPE, clock=clock)
+        assert [job for job, _, _ in third.adopt_orphans()] == ["job-1"]
+
+    def test_fenced_out_holder_learns_it_from_the_fold(self, tmp_path):
+        clock = _Clock()
+        owner, peer = _pair(tmp_path, clock)
+        owner.register("job-1", {"spec_id": "S1"})
+        clock.now += 5.0
+        assert len(peer.adopt_orphans()) == 1
+        lost: list[str] = []
+        heartbeat = HeartbeatLoop(owner, on_lost=lost.append)
+        heartbeat.beat()
+        assert lost == ["job-1"]
+        assert owner.snapshot()["leases_held"] == []
+        heartbeat.beat()
+        assert lost == ["job-1"] and owner.lost == 1
+
+    def test_idle_heartbeat_takes_no_lock_and_appends_nothing(
+        self, tmp_path, monkeypatch
+    ):
+        clock = _Clock()
+        store = ClusterStore(tmp_path, "r1", RECIPE, clock=clock)
+        token = store.register("job-1", {"spec_id": "S1"})
+        store.commit("job-1", "S1", {}, token)
+        size = store.ledger.path.stat().st_size
+
+        def no_lock(path):
+            raise AssertionError("an idle heartbeat took the cluster lock")
+
+        monkeypatch.setattr(ledger_module, "file_lock", no_lock)
+        HeartbeatLoop(store).beat()
+        assert store.renew() == []
+        assert store.ledger.path.stat().st_size == size
+
+    def test_lease_state_lives_in_the_ledger_alone(self, tmp_path):
+        clock = _Clock()
+        owner, peer = _pair(tmp_path, clock)
+        token = owner.register("job-1", {"spec_id": "S1"})
+        owner.renew()
+        owner.drain()
+        peer.adopt_orphans()
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            ".cluster.lock",
+            "ledger.jsonl",
+        ]
+        assert token < peer.fold().jobs["job-1"].token
 
 
 class TestJobLedger:
@@ -231,10 +325,10 @@ class TestClusterStore:
         assert (job_id, payload) == ("job-1", {"spec_id": "S1"})
         cell = {"rep": 1, "tm": 0.1, "sm": 0.2, "status": "correct"}
         with pytest.raises(StaleWriterError):
-            cs1.commit("job-1", "S1", {"ATR": cell}, stale.token)
+            cs1.commit("job-1", "S1", {"ATR": cell}, stale)
         assert cs1.lookup("S1") == {}
         assert cs1.fencing_rejections == 1
-        cs2.commit("job-1", "S1", {"ATR": cell}, fresh.token)
+        cs2.commit("job-1", "S1", {"ATR": cell}, fresh)
         assert cs2.lookup("S1") == {"ATR": cell}
         fold = ClusterFold()
         for record in cs2.ledger.replay():
@@ -246,10 +340,10 @@ class TestClusterStore:
     def test_commit_after_terminal_is_a_duplicate(self, tmp_path):
         clock = _Clock()
         store = ClusterStore(tmp_path, "r1", RECIPE, ttl=5.0, clock=clock)
-        lease = store.register("job-1", {"spec_id": "S1"})
-        store.commit("job-1", "S1", {}, lease.token)
+        token = store.register("job-1", {"spec_id": "S1"})
+        store.commit("job-1", "S1", {}, token)
         with pytest.raises(DuplicateCommitError):
-            store.commit_failed("job-1", lease.token + 1, "late failure")
+            store.commit_failed("job-1", token + 1, "late failure")
         assert store.duplicate_commits == 1
 
     def test_drained_jobs_are_adoptable_immediately(self, tmp_path):
@@ -257,9 +351,27 @@ class TestClusterStore:
         cs1 = ClusterStore(tmp_path, "r1", RECIPE, ttl=60.0, clock=clock)
         cs2 = ClusterStore(tmp_path, "r2", RECIPE, ttl=60.0, clock=clock)
         cs1.register("job-1", {"spec_id": "S1"})
-        cs1.drain(["job-1"])
+        cs1.drain()
         adopted = cs2.adopt_orphans()
         assert [job_id for job_id, _, _ in adopted] == ["job-1"]
+
+    def test_drain_ends_the_lease_for_a_late_writer(self, tmp_path):
+        # A worker that finishes after its replica drained the job (the
+        # shutdown race) must not commit: the job belongs to whoever
+        # adopts it next, even if its ``running`` record lands late.
+        clock = _Clock()
+        cs1, cs2 = _pair(tmp_path, clock, ttl=60.0)
+        token = cs1.register("job-1", {"spec_id": "S1"})
+        cs1.drain()
+        cs1.mark_running("job-1", token)
+        cell = {"rep": 1, "tm": 0.1, "sm": 0.2, "status": "correct"}
+        with pytest.raises(StaleWriterError):
+            cs1.commit("job-1", "S1", {"ATR": cell}, token)
+        assert cs1.lookup("S1") == {}
+        ((job_id, _, fresh),) = cs2.adopt_orphans()
+        assert job_id == "job-1" and fresh > token
+        cs2.commit("job-1", "S1", {"ATR": cell}, fresh)
+        assert cs2.fold().jobs["job-1"].state == "done"
 
     def test_torn_submission_gets_a_grace_window(self, tmp_path):
         # A journaled job with no lease yet (the submitter died between
@@ -282,9 +394,9 @@ class TestClusterStore:
     def test_corrupt_store_mirror_is_a_miss(self, tmp_path):
         clock = _Clock()
         store = ClusterStore(tmp_path, "r1", RECIPE, ttl=5.0, clock=clock)
-        lease = store.register("job-1", {"spec_id": "S1"})
+        token = store.register("job-1", {"spec_id": "S1"})
         cell = {"rep": 1, "tm": 0.1, "sm": 0.2, "status": "correct"}
-        store.commit("job-1", "S1", {"ATR": cell}, lease.token)
+        store.commit("job-1", "S1", {"ATR": cell}, token)
         store.store_path.write_text("{scrambled")
         assert store.lookup("S1") == {}
         assert store.missing("S1", ("ATR",)) == ("ATR",)
@@ -483,6 +595,25 @@ class TestClusterDaemon:
 
 
 class TestReplicaRestart:
+    def test_same_id_restart_adopts_its_dead_incarnations_job_at_one_ttl(
+        self, tmp_path
+    ):
+        # The lone-daemon ``kill -9`` restart: the dead incarnation's
+        # lease must still expire for a replica reborn under its id.
+        clock = _Clock()
+        first = ClusterStore(tmp_path, "r0", RECIPE, ttl=5.0, clock=clock)
+        token = first.register("job-r0-000001", {"spec_id": "S1"})
+        registered = clock.now
+        del first  # dies without draining
+        reborn = ClusterStore(tmp_path, "r0", RECIPE, ttl=5.0, clock=clock)
+        clock.now = registered + 5.0 - 1e-6
+        assert reborn.adopt_orphans() == []
+        clock.now = registered + 5.0
+        ((job_id, payload, fresh),) = reborn.adopt_orphans()
+        assert (job_id, payload) == ("job-r0-000001", {"spec_id": "S1"})
+        assert fresh > token
+        assert reborn.snapshot()["leases_held"] == ["job-r0-000001"]
+
     def test_restarted_replica_never_reuses_a_job_id(
         self, socket_dir, tmp_path
     ):

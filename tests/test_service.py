@@ -439,8 +439,8 @@ class TestResultStore:
                 "elapsed": 0.1, "error_code": None}
 
     def _commit(self, store, job_id, outcomes):
-        lease = store.register(job_id, {"spec_id": "s"})
-        store.commit(job_id, "s", outcomes, lease.token)
+        token = store.register(job_id, {"spec_id": "s"})
+        store.commit(job_id, "s", outcomes, token)
 
     def test_round_trips_and_skips_timeout_cells(self, socket_dir):
         store = self._store(socket_dir)
@@ -678,14 +678,15 @@ class TestDrainResume:
             )
             record, _ = service.submit(job)
             assert _wait(lambda: record.terminal)
-            cluster_dir = config.resolved_cluster_dir()
             mirror = service.cluster.store_path
             before = mirror.stat()
             ledger_jobs = set(self._fold(config).jobs)
+            acquired = service.cluster.acquired
             hit, _ = service.submit(job)
             assert hit.from_store is True and hit.state is JobState.DONE
             assert hit.outcomes == record.outcomes
-            assert list((cluster_dir / "leases").iterdir()) == []
+            assert service.cluster.acquired == acquired
+            assert service.cluster.snapshot()["leases_held"] == []
             assert set(self._fold(config).jobs) == ledger_jobs
             assert hit.job_id not in ledger_jobs
             after = mirror.stat()
