@@ -24,8 +24,8 @@ verdicts — the property the dedup cache and its byte-equality tests
 depend on.  Canonicalization failures degrade to the exact printed text,
 which still deduplicates syntactic duplicates.
 
-Dedup is always on outside chaos scopes.  It cannot change outcomes, only
-the work needed to reach them; the tests pin that by comparing whole
+Dedup is always on, under a chaos scope too.  It cannot change outcomes,
+only the work needed to reach them; the tests pin that by comparing whole
 matrices against an arm that solves every candidate.
 """
 
@@ -116,8 +116,8 @@ def verdict_sharing() -> Iterator[None]:
     depend on the encoding, so only syntactic identity may share them).
 
     The scope is per-shard (one spec), so the cache's lifetime bounds its
-    size.  It is thread-local, and lookups happen only while no chaos
-    scope is active.
+    size.  It is thread-local, and a chaos scope uses it like any other
+    run.
     """
     previous = getattr(_STATE, "shared_verdicts", None)
     _STATE.shared_verdicts = {}

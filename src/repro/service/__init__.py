@@ -23,15 +23,16 @@ solvers wedge, LLM backends flap, and load spikes.  The pieces:
 - :mod:`repro.service.client` — the blocking socket client behind
   ``repro submit`` / ``repro jobs``;
 - :mod:`repro.service.ledger` — the append-only, replayable cluster job
-  journal and the fenced shared result-store mirror
+  journal and the replica's handle on it
   (:class:`~repro.service.ledger.ClusterStore`).  The journal is the one
   durable record: job ownership (fenced, heartbeat-renewed leases with
   monotonic tokens and expiry-driven adoption, which make ``repro
-  serve`` replicas safe to ``kill -9``), at-most-once commits,
+  serve`` replicas safe to ``kill -9``), at-most-once commits whose
+  cells are the result store (keyed by recipe and run seed),
   at-least-once execution, durable tenant quotas;
 - :mod:`repro.service.loadgen` — the synthetic-client load harness
   (``--replicas N`` spreads the fleet across a hosted cluster);
-- :mod:`repro.service.drill` — ``repro chaos --service``: the 9-site
+- :mod:`repro.service.drill` — ``repro chaos --service``: the
   fault-injection drills run *against the live daemon*, asserting the
   availability SLO (no lost jobs, no corrupted results, bounded queue
   latency) in a byte-stable report; ``repro chaos --cluster`` adds the
@@ -49,9 +50,7 @@ from repro.service.admission import (
     TokenBucket,
 )
 from repro.service.breaker import (
-    BreakerClient,
     BreakerConfig,
-    BreakerOpenError,
     CircuitBreaker,
 )
 from repro.service.ledger import (
@@ -75,9 +74,7 @@ from repro.service.protocol import (
 __all__ = [
     "Admission",
     "AdmissionController",
-    "BreakerClient",
     "BreakerConfig",
-    "BreakerOpenError",
     "CircuitBreaker",
     "ClusterFold",
     "ClusterStore",

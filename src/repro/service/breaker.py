@@ -6,7 +6,8 @@ failing — that converts one dependency outage into fleet-wide latency.
 The breaker watches *classified* error rates (the
 :mod:`repro.runtime.errors` taxonomy, not raw exception types) over a
 sliding window of calls and trips **open** when the rate crosses the
-threshold; open calls fail immediately with a ``retry_after`` hint.
+threshold; while it is open the daemon rejects jobs that need the
+dependency with a ``retry_after`` hint.
 After a cooldown the breaker goes **half-open** and admits a bounded
 number of probe calls: all succeeding closes it, any failing re-opens it.
 
@@ -20,22 +21,14 @@ from __future__ import annotations
 
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 from repro import obs
-from repro.runtime.errors import ReproError, classify_exception
 
 CLOSED = "closed"
 OPEN = "open"
 HALF_OPEN = "half-open"
-
-
-class BreakerOpenError(ReproError):
-    """Raised (or surfaced as a rejection) when the breaker is open: the
-    dependency is known-bad, fail now instead of burning a retry budget."""
-
-    code = "service.breaker_open"
 
 
 @dataclass(frozen=True)
@@ -151,9 +144,6 @@ class CircuitBreaker:
             if rate >= self.config.failure_rate and self._state == CLOSED:
                 self._trip()
 
-    def record_exception(self, error: BaseException) -> None:
-        self.record_failure(classify_exception(error))
-
     def _trip(self) -> None:
         self._state = OPEN
         self._opened_at = self._clock()
@@ -184,41 +174,3 @@ class CircuitBreaker:
             "opens": self.opens,
             "last_failure_code": self.last_failure_code,
         }
-
-    def open_error(self) -> BreakerOpenError:
-        return BreakerOpenError(
-            f"{self.name} circuit breaker is open "
-            f"(last failure: {self.last_failure_code or 'unknown'})",
-            context={
-                "breaker": self.name,
-                "retry_after": self.retry_after(),
-                "last_failure_code": self.last_failure_code,
-            },
-        )
-
-
-@dataclass
-class BreakerClient:
-    """An :class:`~repro.llm.client.LLMClient` decorator gated by a breaker.
-
-    Sits *outside* the retry layer (breaker wraps
-    :class:`~repro.llm.client.RetryingClient`, not the reverse): a single
-    breaker-visible failure means the whole retry schedule was exhausted,
-    which is exactly the signal worth counting, and an open breaker skips
-    the retry schedule entirely — the fast-fail that keeps a wedged
-    backend from stalling every worker.
-    """
-
-    inner: object  # LLMClient; typed loosely to avoid an import cycle
-    breaker: CircuitBreaker
-
-    def complete(self, conversation) -> str:
-        if not self.breaker.allow():
-            raise self.breaker.open_error()
-        try:
-            completion = self.inner.complete(conversation)
-        except Exception as error:
-            self.breaker.record_exception(error)
-            raise
-        self.breaker.record_success()
-        return completion

@@ -19,16 +19,18 @@ One process, three layers:
 Durability has one path: every daemon is a replica of a cluster
 (:mod:`repro.service.ledger`), and a lone daemon is a one-replica cluster
 over ``<socket>.cluster``.  Jobs are journaled in the ledger and owned
-through the fenced leases it records, committed cells merge into the
-shared store mirror (atomic, schema-stamped, corruption-tolerant — the
-same persistence contract as the matrix cache), and tenant quotas are
-ledger debits.  Graceful drain (SIGTERM/SIGINT or the ``drain`` op)
-journals ``drained`` for every job it holds a lease on; a restarted
-daemon adopts those jobs, keeping their ids, before it listens, and serves
-already-committed cells from the mirror — so a kill-and-restart loses
-nothing and recomputes nothing it already had, the service-mode mirror of
-``run_matrix``'s resume-from-flushed-shards guarantee.  A store hit takes
-no lease and writes no record: it has nothing to recover.
+through the fenced leases it records, committed cells live in the
+ledger's ``done`` records (the result store is their fold, keyed by the
+daemon's recipe and the job's run seed), and tenant quotas are ledger
+debits.  The daemon writes no other file.  Graceful drain (SIGTERM/SIGINT
+or the ``drain`` op) first lets the workers finish, then journals
+``drained`` for every job it still holds a lease on; a restarted daemon
+adopts those jobs, keeping their ids, before it listens, and serves
+already-committed cells from the ledger — so a kill-and-restart loses
+nothing and recomputes nothing it already had, the service-mode
+counterpart of ``run_matrix``'s resume-from-flushed-shards guarantee.  A
+store hit takes no lease and writes no job record: it has nothing to
+recover.
 
 Threading discipline: all job bookkeeping (``_jobs``, watchers) mutates
 only on the event-loop thread.  Worker threads hand results over through
@@ -112,13 +114,13 @@ class ServiceConfig:
     worker, and by the pool's wedge watchdog for jobs that stop
     cooperating."""
     chaos: FaultPlan | None = None
-    """Fault-injection plan installed around every job execution and
-    store flush — how ``repro chaos --service`` drills the live daemon."""
+    """Fault-injection plan installed around every job execution — how
+    ``repro chaos --service`` drills the live daemon."""
     breaker: BreakerConfig = field(default_factory=BreakerConfig)
     cluster_dir: str | None = None
     """The cluster directory this daemon is a replica of: jobs are
     journaled in its ledger, owned via the leases it records, committed
-    to its store mirror, and rate-limited by its durable quotas
+    to it, and rate-limited by the quota debits it records
     (:mod:`repro.service.ledger`).  Default ``<socket>.cluster``: a lone
     daemon is a one-replica cluster."""
     replica_id: str | None = None
@@ -157,16 +159,14 @@ class ServiceConfig:
 
 
 def store_recipe(config: ServiceConfig) -> dict:
-    """Everything that changes cell *values* — the key the cluster's store
-    mirror is filed under, so a chaos daemon never poisons (or borrows
-    from) a clean one's store, and every replica of one cluster agrees on
-    the file."""
+    """Everything besides the job's run seed that changes cell *values*.
+    With the run seed it keys the stored cells, so a chaos daemon never
+    poisons (or borrows from) a clean one's store, and every replica of
+    one cluster agrees on the key."""
     return {
         "b": config.benchmark,
         "s": config.seed,
         "sc": config.scale,
-        # Pruning is always on; kept so existing mirrors keep their file.
-        "sp": True,
         "ch": config.chaos.digest() if config.chaos else None,
     }
 
@@ -195,7 +195,6 @@ class ReproService:
             store_recipe(config),
             ttl=config.lease_ttl,
             jitter_seed=config.seed,
-            chaos_plan=config.chaos,
             bucket_capacity=config.bucket_capacity,
             bucket_refill=config.bucket_refill,
         )
@@ -223,8 +222,7 @@ class ReproService:
         self._seq = self._last_issued_seq()
         self.chaos_events: list[dict] = []
         """Every injected fault that fired in job executions (chaos
-        daemons only) — the drill's audit trail; mirror flushes keep their
-        own in :attr:`ClusterStore.events`."""
+        daemons only) — the drill's audit trail."""
         self._draining = False
         self._loop: asyncio.AbstractEventLoop | None = None
         self._done: asyncio.Event | None = None
@@ -271,9 +269,12 @@ class ReproService:
             health.cancel()
             server.close()
             await server.wait_closed()
+            # Workers finish first, while the heartbeat still renews their
+            # leases, so a result landing in the join commits instead of
+            # being fenced behind a ``drained`` record.
+            self.pool.stop()
             self._heartbeat.stop()
             self._hand_off()
-            self.pool.stop()
             with contextlib.suppress(OSError):
                 socket_path.unlink()
 
@@ -320,7 +321,7 @@ class ReproService:
         )
         self._jobs[job_id] = record
         if spec.benchmark != "adhoc":
-            row = self.cluster.lookup(spec.spec_id)
+            row = self.cluster.lookup(spec.spec_id, spec.seed)
             if all(t in row for t in spec.techniques):
                 # Store hit: every cell already committed by some
                 # replica.  No lease, no journal record — nothing to
@@ -375,7 +376,7 @@ class ReproService:
         """Longest-first estimate: historical per-cell seconds from the
         store when available, else the source-size proxy."""
         if spec.benchmark != "adhoc":
-            row = self.cluster.lookup(spec.spec_id)
+            row = self.cluster.lookup(spec.spec_id, spec.seed)
             known = sum(cell.get("elapsed", 0.0) for cell in row.values())
             if known > 0:
                 return known
@@ -419,7 +420,7 @@ class ReproService:
         techniques = record.spec.techniques
         if record.spec.benchmark != "adhoc":
             techniques = self.cluster.missing(
-                record.spec.spec_id, record.spec.techniques
+                record.spec.spec_id, record.spec.seed, record.spec.techniques
             )
         if not techniques:
             return None  # everything landed in the store since admission
@@ -487,8 +488,8 @@ class ReproService:
         record.outcomes = self._assemble_outcomes(record, result)
         # The at-most-once boundary: a stale or duplicate commit is
         # rejected under the cluster lock, and the record settles from
-        # whatever the winning replica committed instead.  Only fresh
-        # corpus cells rewrite the mirror.
+        # whatever the winning replica committed instead.  Corpus cells
+        # are stored under the job's run seed.
         try:
             self.cluster.commit(
                 record.job_id,
@@ -499,8 +500,9 @@ class ReproService:
                 chaos_events=(
                     list(result.chaos_events) if result is not None else []
                 ),
-                merge_store=(
-                    result is not None and record.spec.benchmark != "adhoc"
+                seed=(
+                    None if record.spec.benchmark == "adhoc"
+                    else record.spec.seed
                 ),
             )
         except (StaleWriterError, DuplicateCommitError):
@@ -556,9 +558,9 @@ class ReproService:
         first, store cells for anything computed earlier."""
         cells: dict[str, dict] = {}
         fresh = result.outcomes if result is not None else {}
-        mirror: dict = {}
+        stored: dict = {}
         if record.spec.benchmark != "adhoc":
-            mirror = self.cluster.lookup(record.spec.spec_id)
+            stored = self.cluster.lookup(record.spec.spec_id, record.spec.seed)
         for technique in record.spec.techniques:
             outcome = fresh.get(technique)
             if outcome is not None:
@@ -571,9 +573,9 @@ class ReproService:
                     "error_code": outcome.error_code,
                 }
                 continue
-            stored = mirror.get(technique)
-            if stored is not None:
-                cells[technique] = dict(stored)
+            cell = stored.get(technique)
+            if cell is not None:
+                cells[technique] = dict(cell)
         return cells
 
     def _feed_breakers(self, record: JobRecord, result) -> None:
@@ -669,9 +671,10 @@ class ReproService:
     # -- durability -----------------------------------------------------------
 
     def _hand_off(self) -> None:
-        """The drain: commit whatever landed, then journal ``drained`` for
-        every job this replica still holds a lease on, so the next daemon
-        on this cluster (a restart, or a live peer) adopts it."""
+        """The drain, once the pool has stopped: commit whatever landed,
+        then journal ``drained`` for every job this replica still holds a
+        lease on, so the next daemon on this cluster (a restart, or a live
+        peer) adopts it."""
         self._drain_results()
         self.pool.drain_pending()
         self.cluster.drain()

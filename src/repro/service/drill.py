@@ -4,8 +4,9 @@ The batch-engine drills (:mod:`repro.chaos.harness`) prove the *engine's*
 contracts under injected faults; these prove the *service's*:
 
 - **service-availability** — a client fleet submits the whole corpus to a
-  daemon whose executions (and store flushes) run under the full 9-site
-  fault plan.  The SLO: every accepted job reaches a terminal state (no
+  daemon whose executions run under every fault site that can fire in
+  one (all but the two ``persist.*`` sites: the daemon writes no JSON
+  file).  The SLO: every accepted job reaches a terminal state (no
   lost jobs), every DONE job's cells are bit-identical to a direct
   engine execution under the same plan (no corrupted results — faults
   degrade cells, never falsify them), p99 queue wait stays bounded, and
@@ -23,13 +24,13 @@ contracts under injected faults; these prove the *service's*:
   every pending job; a restarted daemon replays the ledger, adopts all of
   them under their ids before it listens, and produces bit-identical
   outcomes to a direct execution; a third incarnation serves the same
-  jobs straight from the store mirror.
+  jobs straight from the cells the ledger holds.
 
 ``repro chaos --cluster`` drills the *replicated* tier on top of these:
 
 - **cluster-lease** — fake-clock edge cases of the ledger-kept leases:
   boundary-inclusive expiry, exactly-one-winner adoption of an orphan,
-  stale-writer rejection at the shared store, torn-tail tolerance of the
+  stale-writer rejection at the result store, torn-tail tolerance of the
   job ledger, and ledger-folded quotas that survive a replica restart;
 - **cluster-failover** — two ``repro serve`` subprocess replicas share a
   cluster directory; the whole corpus is submitted under the full fault
@@ -112,11 +113,11 @@ AVAILABILITY_SITES: dict[str, SiteConfig] = {
     "llm.transient": SiteConfig(probability=0.3, max_fires=2),
     "llm.garbage": SiteConfig(probability=0.3, max_fires=2),
     "llm.truncate": SiteConfig(probability=0.3, max_fires=2),
-    "persist.corrupt": SiteConfig(probability=0.5, max_fires=2),
-    "persist.truncate": SiteConfig(probability=0.5, max_fires=2),
 }
-"""All nine sites, tuned so each fires somewhere across the corpus while
-most cells stay healthy.  ``llm.transient`` stays under the retry budget
+"""The seven sites a job execution crosses, tuned so each fires somewhere
+across the corpus while most cells stay healthy.  The ``persist.*``
+sites damage atomic JSON writes, and the daemon makes none: its one
+file is the ledger.  ``llm.transient`` stays under the retry budget
 (``max_fires=2`` against 3 attempts) so transient faults are absorbed,
 not surfaced — the availability drill's point."""
 
@@ -179,7 +180,7 @@ def availability_drill(
     seed: int, requested: set[str], scale: float
 ) -> DrillResult:
     """The headline SLO: no lost jobs, no corrupted results, bounded p99,
-    deterministic fault schedule — under all nine sites at once."""
+    deterministic fault schedule — under all seven sites at once."""
     drill = DrillResult(name="service-availability")
     active = sorted(requested & set(AVAILABILITY_SITES))
     if not active:
@@ -221,7 +222,6 @@ def availability_drill(
                 for spec_id, record in sorted(records.items())
             }
             service_events = list(service.chaos_events)
-            flush_events = list(service.cluster.events)
             stats = service.stats()
         finally:
             handle.drain()
@@ -266,8 +266,7 @@ def availability_drill(
             f"{_events_by_site(service_events)} != "
             f"{_events_by_site(reference_events)}"
         )
-    all_events = service_events + flush_events
-    fired = {event["site"] for event in all_events}
+    fired = {event["site"] for event in service_events}
     for site in active:
         if site not in fired:
             drill.violations.append(
@@ -283,7 +282,7 @@ def availability_drill(
         "sites": active,
         "jobs": len(spec_ids),
         "techniques": list(AVAILABILITY_TECHNIQUES),
-        "events_by_site": _events_by_site(all_events),
+        "events_by_site": _events_by_site(service_events),
         "lost": ledger["lost"],
         "p99_within_slo": p99 <= QUEUE_WAIT_SLO_P99,
         "payload": service_payload,
@@ -534,7 +533,7 @@ def breaker_drill(seed: int, requested: set[str], scale: float) -> DrillResult:
 
 def drain_resume_drill(seed: int, scale: float) -> DrillResult:
     """Journal on drain; adopt by ledger replay, bit-identical; then serve
-    from the store mirror."""
+    from the cells the ledger holds."""
     drill = DrillResult(name="service-drain-resume")
     techniques = ("ATR", "Single-Round_Pass")
     with _temp_cache(), _socket_dir() as sock_dir:
@@ -643,7 +642,7 @@ def drain_resume_drill(seed: int, scale: float) -> DrillResult:
             )
 
         # Phase C: a third incarnation serves the identical jobs from the
-        # store mirror without executing anything.
+        # ledger's stored cells without executing anything.
         handle_c = ServiceHandle.start(config)
         service_c = handle_c.service
         try:
@@ -743,9 +742,9 @@ def cluster_lease_drill(seed: int) -> DrillResult:
                 f"{winners[0]} <= {token}"
             )
 
-        # Stale-writer fencing at the shared store: the original owner's
+        # Stale-writer fencing at the result store: the original owner's
         # commit (token t1) must be rejected after adoption (token t2),
-        # leaving the mirror untouched; the adopter's commit lands.
+        # storing nothing; the adopter's commit lands.
         cs1 = ClusterStore(root / "c", "r1", recipe, ttl=5.0, clock=clock)
         cs2 = ClusterStore(root / "c", "r2", recipe, ttl=5.0, clock=clock)
         stale = cs1.register("job-1", {"spec_id": "S1"})
@@ -758,19 +757,19 @@ def cluster_lease_drill(seed: int) -> DrillResult:
             )
         cell = {"rep": 1, "tm": 0.25, "sm": 0.5, "status": "correct"}
         try:
-            cs1.commit("job-1", "S1", {"ATR": dict(cell)}, stale)
+            cs1.commit("job-1", "S1", {"ATR": dict(cell)}, stale, seed=seed)
             drill.violations.append("stale writer's commit was accepted")
         except StaleWriterError:
             pass
-        if cs1.lookup("S1"):
+        if cs1.lookup("S1", seed):
             drill.violations.append(
                 "fenced commit leaked cells into the shared store"
             )
         if adopted:
             cs2.commit(
-                "job-1", "S1", {"ATR": dict(cell)}, adopted[0][2]
+                "job-1", "S1", {"ATR": dict(cell)}, adopted[0][2], seed=seed
             )
-        if cs1.lookup("S1").get("ATR") != cell:
+        if cs1.lookup("S1", seed).get("ATR") != cell:
             drill.violations.append(
                 "the adopter's committed cell is missing from the store"
             )
@@ -1078,8 +1077,8 @@ def cluster_failover_drill(
 
         # Invariant 4: committed cells are byte-identical to an
         # uninterrupted direct execution under the same fault plan.  The
-        # first ``done`` record per spec is always a full execution (the
-        # store mirror can only satisfy later duplicates), so its cells
+        # first ``done`` record per spec is always a full execution (stored
+        # cells can only satisfy later duplicates), so its cells
         # and fault schedule must both match the reference exactly.
         committed: dict[str, dict] = {}
         committed_events: dict[str, list] = {}

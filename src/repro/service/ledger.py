@@ -1,4 +1,5 @@
-"""The cluster job ledger: an append-only journal plus a fenced store.
+"""The cluster job ledger: an append-only journal that is also the
+result store.
 
 The replicated service tier (`repro serve --cluster-dir ...`) has no
 coordinator process; the shared directory *is* the cluster. Its source of
@@ -36,15 +37,22 @@ scaled by a factor drawn from ``sha256(seed:replica:beat)`` — so a fleet
 started together does not renew in lockstep, yet every schedule
 reproduces.
 
-:class:`ClusterStore` is the facade one replica holds: journal + the
-in-memory fold of it + the shared result-store mirror.  A lone daemon is
-a one-replica cluster over ``<socket>.cluster``; there is no other
-durability path.  :meth:`~ClusterStore.commit` is the **fencing
-boundary**: under the cluster lock it rejects commits for
-already-terminal jobs (:class:`DuplicateCommitError`) and commits
-carrying a stale fencing token (:class:`StaleWriterError`) — so a
-paused-then-resumed replica can never double-commit a cell, no matter
-how late it wakes up.
+:class:`ClusterStore` is the facade one replica holds: the journal
+and the in-memory fold of it.  A lone daemon is a one-replica cluster
+over ``<socket>.cluster``; there is no other durability path, and the
+directory holds nothing but the ledger and its lock file.
+:meth:`~ClusterStore.commit` is the **fencing boundary**: under the
+cluster lock it rejects commits for already-terminal jobs
+(:class:`DuplicateCommitError`) and commits carrying a stale fencing
+token (:class:`StaleWriterError`) — so a paused-then-resumed replica can
+never double-commit a cell, no matter how late it wakes up.
+
+**The result store is the fold.**  A corpus job's ``done`` record
+carries a store key, a digest of the daemon's recipe and the job's run
+seed; the fold indexes the record's non-timeout cells under (key,
+``spec_id``).  A cell is only ever served to a job with the same recipe
+and run seed as the one that computed it.  ``done`` records without a
+key (ad-hoc jobs) are never served.
 
 All mutations serialize through one cluster lock file via ``flock``; the
 OS releases the lock when a holder dies, so a ``kill -9`` mid-operation
@@ -63,10 +71,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterator
 
-from repro import chaos, obs
-from repro.chaos.plan import FaultPlan
+from repro import obs
 from repro.runtime.errors import CacheCorruptionError
-from repro.runtime.persist import atomic_write_json, load_json
 from repro.service.admission import TokenBucket
 from repro.service.protocol import ServiceError, canonical_json
 
@@ -77,9 +83,6 @@ except ImportError:  # pragma: no cover - non-posix fallback
 
 LEDGER_SCHEMA = "repro-cluster-ledger/1"
 """First line of every ledger file; bump on any record-shape change."""
-
-CLUSTER_STORE_SCHEMA = "repro-cluster-store/1"
-"""Schema of the shared result-store mirror the cluster flushes cells to."""
 
 LEDGER_EVENTS = (
     "submitted",
@@ -100,6 +103,29 @@ TERMINAL_EVENTS = frozenset({"done", "failed"})
 _LEASE_ENDED = TERMINAL_EVENTS | {"drained"}
 """Job states in which the last lease no longer owns the job; only a
 new ``adopted`` lease owns a drained job."""
+
+_FIELD_TYPES = (
+    ("token", int),
+    ("ts", (int, float)),
+    ("cost", (int, float)),
+    ("expires_at", (int, float)),
+    ("spec", dict),
+    ("outcomes", dict),
+    ("chaos", list),
+)
+"""The fields the fold converts, and the types each must have."""
+
+
+def _well_typed(record: dict) -> bool:
+    """Whether every field the fold converts has its type.  A record
+    that does not is as unusable as a torn line: the fold could not
+    apply it."""
+    for name, kinds in _FIELD_TYPES:
+        if name in record:
+            value = record[name]
+            if isinstance(value, bool) or not isinstance(value, kinds):
+                return False
+    return True
 
 
 @contextlib.contextmanager
@@ -144,8 +170,9 @@ class JobLedger:
 
     Appends serialize through the cluster lock; reads are lock-free and
     incremental (:meth:`poll` consumes only bytes appended since the last
-    call).  Corrupt lines — torn appends from dead replicas — are skipped
-    and counted, never fatal.
+    call).  Corrupt lines — torn appends from dead replicas, and records
+    with a field of the wrong type — are skipped and counted, never
+    fatal.
     """
 
     def __init__(self, path: Path, lock_path: Path) -> None:
@@ -227,7 +254,7 @@ class JobLedger:
             except (json.JSONDecodeError, UnicodeDecodeError):
                 self.corrupt_lines += 1
                 continue
-            if not isinstance(record, dict):
+            if not isinstance(record, dict) or not _well_typed(record):
                 self.corrupt_lines += 1
                 continue
             if "schema" in record and "event" not in record:
@@ -307,7 +334,7 @@ class JobView:
 
 class ClusterFold:
     """The ledger reduced to per-job state and leases, the fencing-token
-    trail, and one token bucket per tenant.
+    trail, one token bucket per tenant, and the result store.
 
     ``capacity``/``refill_rate`` shape the buckets the ``debit`` records
     drain; a fold that only audits jobs can leave the defaults.
@@ -325,6 +352,10 @@ class ClusterFold:
         """The largest token any folded record carries; the next one
         drawn is one more."""
         self.fenced_commits = 0
+        self.cells: dict[tuple[str, str], dict[str, dict]] = {}
+        """The result store: the non-timeout cells of every job's first
+        ``done`` record, by (store key, ``spec_id``).  A row is replaced,
+        never changed in place, so a lookup may hand it out."""
 
     def bucket(self, tenant: str) -> TokenBucket:
         """The tenant's bucket as of the last folded debit (full if none)."""
@@ -400,12 +431,24 @@ class ClusterFold:
                 view.outcomes = dict(record.get("outcomes", {}))
                 view.executed = bool(record.get("executed", False))
                 view.chaos_events = list(record.get("chaos", []))
+                self._index_cells(
+                    record.get("key"), record.get("spec_id"), view.outcomes
+                )
             return
         if event == "failed":
             view.done_events += 1
             if view.done_events == 1:
                 view.state = "failed"
                 view.error = record.get("error")
+
+    def _index_cells(self, key, spec_id, outcomes: dict) -> None:
+        if not isinstance(key, str) or not isinstance(spec_id, str):
+            return
+        row = dict(self.cells.get((key, spec_id), {}))
+        for technique, cell in outcomes.items():
+            if isinstance(cell, dict) and cell.get("status") != "timeout":
+                row[technique] = dict(cell)
+        self.cells[(key, spec_id)] = row
 
     def non_terminal(self) -> list[JobView]:
         return [view for view in self.jobs.values() if not view.terminal]
@@ -430,11 +473,13 @@ def _count_lease_metric(name: str) -> None:
 class ClusterStore:
     """One replica's handle on the shared cluster directory.
 
-    Composes the journal, its fold, and the shared result-store mirror,
-    and owns every multi-step transition that must be atomic under the
-    cluster lock (register, adopt, renew, commit, drain).  The leases
-    this replica holds are mirrored in memory (``{job_id: token}``) so
-    the heartbeat knows what to renew; the fold is the source of truth.
+    Composes the journal and its fold, and owns every multi-step
+    transition that must be atomic under the cluster lock (register,
+    adopt, renew, commit, drain).  ``recipe`` holds everything besides
+    the run seed that changes cell values; with the seed it keys the
+    result store.  The leases this replica holds are mirrored in memory
+    (``{job_id: token}``) so the heartbeat knows what to renew; the fold
+    is the source of truth.
     """
 
     def __init__(
@@ -445,7 +490,6 @@ class ClusterStore:
         ttl: float = 5.0,
         jitter_seed: int = 0,
         clock: Callable[[], float] = time.time,
-        chaos_plan: FaultPlan | None = None,
         bucket_capacity: float = 8.0,
         bucket_refill: float = 4.0,
     ) -> None:
@@ -459,17 +503,8 @@ class ClusterStore:
         self.clock = clock
         self.lock_path = self.root / ".cluster.lock"
         self.ledger = JobLedger(self.root / "ledger.jsonl", self.lock_path)
-        digest = hashlib.sha256(
-            json.dumps(recipe, sort_keys=True).encode()
-        ).hexdigest()[:12]
-        self.store_path = self.root / f"store-{digest}.json"
-        self._chaos = chaos_plan
-        self._flushes = 0
-        self.events: list[dict] = []
-        """Chaos events fired inside mirror flushes (``persist.*`` audit)."""
-        self._mirror: dict[str, dict] = {}
-        self._mirror_stamp: tuple | None = None
-        self._mirror_lock = threading.Lock()
+        self._recipe = recipe
+        self._keys: dict[int, str] = {}
         self._fold = ClusterFold(bucket_capacity, bucket_refill)
         self._fold_lock = threading.Lock()
         self._held: dict[str, int] = {}
@@ -503,7 +538,10 @@ class ClusterStore:
             if self.ledger.append_locked(record, consume=True):
                 self._fold.apply(record)
 
-    def _refresh_locked(self) -> ClusterFold:
+    def _refresh(self) -> ClusterFold:
+        """Fold the records appended since the last refresh.  A poll
+        consumes whole lines only, so this is safe without the cluster
+        lock; every decision that must see all records takes it first."""
         with self._fold_lock:
             for record in self.ledger.poll():
                 self._fold.apply(record)
@@ -512,7 +550,7 @@ class ClusterStore:
     def fold(self) -> ClusterFold:
         """The current cluster state (incremental journal refresh)."""
         with file_lock(self.lock_path):
-            return self._refresh_locked()
+            return self._refresh()
 
     # -- leases ---------------------------------------------------------------
 
@@ -521,7 +559,7 @@ class ClusterStore:
         more than any token the caught-up fold has seen.  The refresh
         also folds an own record that landed behind a torn tail, so two
         grants under one lock never draw the same token."""
-        token = self._refresh_locked().max_token + 1
+        token = self._refresh().max_token + 1
         now = self.clock()
         self._append_locked(
             self._record(
@@ -546,7 +584,7 @@ class ClusterStore:
             return []
         now = self.clock()
         with file_lock(self.lock_path):
-            jobs = self._refresh_locked().jobs
+            jobs = self._refresh().jobs
             with self._held_lock:
                 lost = sorted(
                     job_id
@@ -612,7 +650,7 @@ class ClusterStore:
         adopted: list[tuple[str, dict, int]] = []
         now = self.clock()
         with file_lock(self.lock_path):
-            fold = self._refresh_locked()
+            fold = self._refresh()
             for view in sorted(fold.non_terminal(), key=lambda v: v.job_id):
                 if view.spec is None:
                     continue
@@ -652,7 +690,7 @@ class ClusterStore:
         """
         now = self.clock()
         with file_lock(self.lock_path):
-            wait = self._refresh_locked().bucket(tenant).wait(now, cost)
+            wait = self._refresh().bucket(tenant).wait(now, cost)
             if wait == 0.0:
                 self._append_locked(
                     {
@@ -677,7 +715,7 @@ class ClusterStore:
     # -- the fencing boundary -------------------------------------------------
 
     def _check_commit_locked(self, job_id: str, token: int) -> None:
-        view = self._refresh_locked().jobs.get(job_id)
+        view = self._refresh().jobs.get(job_id)
         if view is None:
             return
         if view.terminal:
@@ -709,16 +747,17 @@ class ClusterStore:
         token: int,
         executed: bool = True,
         chaos_events: list | None = None,
-        merge_store: bool = True,
+        seed: int | None = None,
     ) -> None:
         """Commit a job's cells: the at-most-once boundary.
 
         Under the cluster lock: reject if terminal (duplicate) or fenced
-        (stale token); otherwise journal the ``done`` record — which ends
-        the lease — and fold the cells into the shared store mirror
-        (unless ``merge_store`` is off — ad-hoc jobs have no corpus
-        identity to cache under).
+        (stale token); otherwise journal the ``done`` record, which ends
+        the lease.  A corpus job passes its run ``seed``, and the record
+        carries the store key its cells are served under; ad-hoc jobs
+        have no corpus identity to store under.
         """
+        stored = {} if seed is None else {"key": self.store_key(seed)}
         with file_lock(self.lock_path):
             self._check_commit_locked(job_id, token)
             self._append_locked(
@@ -730,10 +769,9 @@ class ClusterStore:
                     outcomes=outcomes,
                     executed=executed,
                     chaos=list(chaos_events or []),
+                    **stored,
                 )
             )
-            if merge_store:
-                self._merge_store_locked(spec_id, outcomes)
             self._release_locked(job_id, token)
 
     def commit_failed(self, job_id: str, token: int, error: str) -> None:
@@ -746,65 +784,28 @@ class ClusterStore:
             )
             self._release_locked(job_id, token)
 
-    # -- the shared store mirror ----------------------------------------------
+    # -- the result store -----------------------------------------------------
 
-    def _mirror_stamp_now(self) -> tuple | None:
-        try:
-            stat = os.stat(self.store_path)
-        except OSError:
-            return None
-        return (stat.st_ino, stat.st_mtime_ns, stat.st_size)
+    def store_key(self, seed: int) -> str:
+        """The key of the cells computed under this recipe at run seed
+        ``seed``, computed once per seed."""
+        key = self._keys.get(seed)
+        if key is None:
+            payload = json.dumps([self._recipe, seed], sort_keys=True)
+            key = hashlib.sha256(payload.encode()).hexdigest()[:12]
+            self._keys[seed] = key
+        return key
 
-    def _mirror_view_locked(self) -> dict:
-        """The in-memory mirror, re-read only when the file changed.  The
-        file is replaced by rename, so no cluster lock is needed; a
-        corrupt file reads as a miss, rebuilt by future commits."""
-        stamp = self._mirror_stamp_now()
-        if stamp != self._mirror_stamp:
-            cells: dict = {}
-            if stamp is not None:
-                try:
-                    payload = load_json(
-                        self.store_path, schema=CLUSTER_STORE_SCHEMA
-                    )
-                    cells = {
-                        spec_id: dict(row) for spec_id, row in payload.items()
-                    }
-                except (CacheCorruptionError, AttributeError):
-                    cells = {}
-            self._mirror, self._mirror_stamp = cells, stamp
-        return self._mirror
+    def lookup(self, spec_id: str, seed: int) -> dict:
+        """The stored cells of one spec at run seed ``seed``, by
+        technique.  It takes no cluster lock and writes nothing."""
+        key = self.store_key(seed)
+        return self._refresh().cells.get((key, spec_id), {})
 
-    def _merge_store_locked(self, spec_id: str, outcomes: dict) -> None:
-        with self._mirror_lock:
-            cells = dict(self._mirror_view_locked())
-            row = dict(cells.get(spec_id, {}))
-            for technique, cell in outcomes.items():
-                if cell.get("status") != "timeout":
-                    row[technique] = dict(cell)
-            cells[spec_id] = row
-            # The chaos scope injects ``persist.*`` faults into the mirror
-            # write.  The view keeps the merged cells either way, so a
-            # corrupted flush is healed by the next one; a peer or a
-            # restart reads the damage as a miss.
-            with chaos.install(
-                self._chaos, salt=f"store:{self._flushes}"
-            ) as scope:
-                self._flushes += 1
-                atomic_write_json(
-                    self.store_path, cells, schema=CLUSTER_STORE_SCHEMA
-                )
-            if scope is not None:
-                self.events.extend(event.to_json() for event in scope.events)
-            self._mirror, self._mirror_stamp = cells, self._mirror_stamp_now()
-
-    def lookup(self, spec_id: str) -> dict:
-        """The shared store's row for one spec (read-only; tolerant)."""
-        with self._mirror_lock:
-            return self._mirror_view_locked().get(spec_id, {})
-
-    def missing(self, spec_id: str, techniques: tuple[str, ...]) -> tuple[str, ...]:
-        row = self.lookup(spec_id)
+    def missing(
+        self, spec_id: str, seed: int, techniques: tuple[str, ...]
+    ) -> tuple[str, ...]:
+        row = self.lookup(spec_id, seed)
         return tuple(t for t in techniques if t not in row)
 
     # -- introspection --------------------------------------------------------

@@ -7,6 +7,7 @@ The subprocess ``kill -9`` failover path lives in ``repro chaos
 assertion reproduces.
 """
 
+import sys
 import tempfile
 import threading
 import time
@@ -325,11 +326,11 @@ class TestClusterStore:
         assert (job_id, payload) == ("job-1", {"spec_id": "S1"})
         cell = {"rep": 1, "tm": 0.1, "sm": 0.2, "status": "correct"}
         with pytest.raises(StaleWriterError):
-            cs1.commit("job-1", "S1", {"ATR": cell}, stale)
-        assert cs1.lookup("S1") == {}
+            cs1.commit("job-1", "S1", {"ATR": cell}, stale, seed=0)
+        assert cs1.lookup("S1", 0) == {}
         assert cs1.fencing_rejections == 1
-        cs2.commit("job-1", "S1", {"ATR": cell}, fresh)
-        assert cs2.lookup("S1") == {"ATR": cell}
+        cs2.commit("job-1", "S1", {"ATR": cell}, fresh, seed=0)
+        assert cs2.lookup("S1", 0) == {"ATR": cell}
         fold = ClusterFold()
         for record in cs2.ledger.replay():
             fold.apply(record)
@@ -366,11 +367,11 @@ class TestClusterStore:
         cs1.mark_running("job-1", token)
         cell = {"rep": 1, "tm": 0.1, "sm": 0.2, "status": "correct"}
         with pytest.raises(StaleWriterError):
-            cs1.commit("job-1", "S1", {"ATR": cell}, token)
-        assert cs1.lookup("S1") == {}
+            cs1.commit("job-1", "S1", {"ATR": cell}, token, seed=0)
+        assert cs1.lookup("S1", 0) == {}
         ((job_id, _, fresh),) = cs2.adopt_orphans()
         assert job_id == "job-1" and fresh > token
-        cs2.commit("job-1", "S1", {"ATR": cell}, fresh)
+        cs2.commit("job-1", "S1", {"ATR": cell}, fresh, seed=0)
         assert cs2.fold().jobs["job-1"].state == "done"
 
     def test_torn_submission_gets_a_grace_window(self, tmp_path):
@@ -391,15 +392,105 @@ class TestClusterStore:
         clock.now += 10.0
         assert [j for j, _, _ in store.adopt_orphans()] == ["job-torn"]
 
-    def test_corrupt_store_mirror_is_a_miss(self, tmp_path):
+    def test_cells_are_stored_under_the_job_seed(self, tmp_path):
+        clock = _Clock()
+        cs1, cs2 = _pair(tmp_path, clock)
+        token = cs1.register("job-1", {"spec_id": "S1"})
+        cell = {"rep": 0, "tm": 0.89, "sm": 0.5, "status": "not_fixed"}
+        cs1.commit("job-1", "S1", {"ATR": cell}, token, seed=1)
+        assert cs2.lookup("S1", 0) == {}
+        assert cs2.missing("S1", 0, ("ATR",)) == ("ATR",)
+        assert cs2.lookup("S1", 1) == {"ATR": cell}
+        # The daemon's recipe is part of the key too: a chaos daemon
+        # never borrows a clean one's cells.
+        chaotic = ClusterStore(
+            tmp_path, "r3", {**RECIPE, "ch": "abc"}, clock=clock
+        )
+        assert chaotic.lookup("S1", 1) == {}
+
+    def test_concurrent_commits_and_lookups_lose_no_cell(self, tmp_path):
+        clock = _Clock()
+        writers = [
+            ClusterStore(tmp_path, f"w{i}", RECIPE, clock=clock)
+            for i in range(4)
+        ]
+        reader = ClusterStore(tmp_path, "reader", RECIPE, clock=clock)
+        cells = {
+            f"T{i}-{j}": {"rep": i, "tm": j / 10, "sm": 0.5,
+                          "status": "correct"}
+            for i in range(4)
+            for j in range(10)
+        }
+        errors = []
+        done = threading.Event()
+
+        def write(index):
+            store = writers[index]
+            for j in range(10):
+                job_id = f"job-{index}-{j}"
+                token = store.register(job_id, {"spec_id": "S1"})
+                technique = f"T{index}-{j}"
+                store.commit(
+                    job_id, "S1", {technique: cells[technique]}, token,
+                    seed=0,
+                )
+
+        def read():
+            while not done.is_set():
+                row = reader.lookup("S1", 0)
+                if any(cell != cells[t] for t, cell in row.items()):
+                    errors.append(dict(row))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            readers = [threading.Thread(target=read) for _ in range(4)]
+            threads = [
+                threading.Thread(target=write, args=(i,)) for i in range(4)
+            ]
+            for thread in readers + threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+            done.set()
+            for thread in readers:
+                thread.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in readers + threads)
+        assert errors == []
+        assert reader.lookup("S1", 0) == cells
+
+    def test_done_record_without_store_key_is_a_miss(self, tmp_path):
+        # Ad-hoc jobs commit no seed, and records written before cells
+        # were keyed carry none: neither is ever served.
         clock = _Clock()
         store = ClusterStore(tmp_path, "r1", RECIPE, ttl=5.0, clock=clock)
         token = store.register("job-1", {"spec_id": "S1"})
         cell = {"rep": 1, "tm": 0.1, "sm": 0.2, "status": "correct"}
         store.commit("job-1", "S1", {"ATR": cell}, token)
-        store.store_path.write_text("{scrambled")
-        assert store.lookup("S1") == {}
-        assert store.missing("S1", ("ATR",)) == ("ATR",)
+        assert store.fold().jobs["job-1"].state == "done"
+        assert store.lookup("S1", 0) == {}
+        assert store.missing("S1", 0, ("ATR",)) == ("ATR",)
+
+    def test_lookup_sees_a_peer_commit_without_the_cluster_lock(
+        self, tmp_path, monkeypatch
+    ):
+        clock = _Clock()
+        cs1, cs2 = _pair(tmp_path, clock)
+        assert cs1.lookup("S1", 0) == {}
+        token = cs2.register("job-1", {"spec_id": "S1"})
+        cell = {"rep": 1, "tm": 0.1, "sm": 0.2, "status": "correct"}
+        cs2.commit("job-1", "S1", {"ATR": cell}, token, seed=0)
+        size = cs1.ledger.path.stat().st_size
+
+        def no_lock(path):
+            raise AssertionError("a store lookup took the cluster lock")
+
+        monkeypatch.setattr(ledger_module, "file_lock", no_lock)
+        assert cs1.lookup("S1", 0) == {"ATR": cell}
+        assert cs1.missing("S1", 0, ("ATR", "BeAFix")) == ("BeAFix",)
+        assert cs1.ledger.path.stat().st_size == size
 
 
 def _quotas(root, replica, clock, capacity, refill):
@@ -540,7 +631,7 @@ class TestClusterDaemon:
         finally:
             handle_b.drain(grace=5.0)
 
-    def test_second_replica_serves_committed_cells_from_the_mirror(
+    def test_second_replica_serves_committed_cells_from_the_ledger(
         self, socket_dir, tmp_path
     ):
         cluster_dir = tmp_path / "cluster"
@@ -754,7 +845,6 @@ class TestCorruptClusterState:
         )
         first = ReproService(config)
         first.pool.stop()
-        first.cluster.store_path.write_text('{"schema": "junk"}')
         with first.cluster.ledger.path.open("ab") as handle:
             handle.write(b'{"event":"submitted","job_id":"job-x","sp')
         handle = ServiceHandle.start(config)
@@ -767,6 +857,41 @@ class TestCorruptClusterState:
             )
             assert outcome.state == "done"
             assert outcome.from_store is False
+            stats = ServiceClient(handle.socket).stats()
+            assert stats["cluster"]["ledger_corrupt_lines"] == 1
+        finally:
+            handle.drain(grace=5.0)
+
+    @pytest.mark.parametrize(
+        "record",
+        [
+            {"event": "leased", "job_id": "j", "token": "garbage"},
+            {"event": "submitted", "job_id": "j", "ts": "x"},
+            {"event": "debit", "tenant": "t1", "cost": "x", "ts": 1.0},
+            {"event": "renewed", "leases": {"j": 1}, "expires_at": "x"},
+            {"event": "submitted", "job_id": "j", "spec": [1]},
+            {"event": "done", "job_id": "j", "outcomes": "x"},
+            {"event": "done", "job_id": "j", "chaos": 5},
+        ],
+        ids=["token", "ts", "cost", "expires_at", "spec", "outcomes", "chaos"],
+    )
+    def test_mistyped_field_is_a_corrupt_line(self, socket_dir, record):
+        config = ServiceConfig(
+            socket=str(Path(socket_dir) / "svc.sock"),
+            benchmark="arepair",
+            scale=0.1,
+            seed=0,
+            workers=1,
+            job_timeout=None,
+        )
+        root = config.resolved_cluster_dir()
+        JobLedger(root / "ledger.jsonl", root / ".cluster.lock").append(record)
+        store = ClusterStore(root, "r1", RECIPE)
+        fold = store.fold()
+        assert fold.jobs == {} and fold.quotas == {}
+        assert store.snapshot()["ledger_corrupt_lines"] == 1
+        handle = ServiceHandle.start(config)
+        try:
             stats = ServiceClient(handle.socket).stats()
             assert stats["cluster"]["ledger_corrupt_lines"] == 1
         finally:

@@ -1,6 +1,6 @@
 """Service-layer tests: protocol framing, admission control, circuit
-breakers, the warm worker pool, the result-store mirror, and the
-daemon's drain/adopt contract.
+breakers, the warm worker pool, the result store the ledger holds, and
+the daemon's drain/adopt contract.
 
 The expensive end-to-end paths (chaos under load, SLO assertions) live in
 ``repro chaos --service``; these tests pin the component contracts with
@@ -17,12 +17,7 @@ import pytest
 from repro.experiments.executor import ShardTask, execute_shard
 from repro.obs.metrics import Histogram, percentile
 from repro.service.admission import AdmissionController, TokenBucket
-from repro.service.breaker import (
-    BreakerClient,
-    BreakerConfig,
-    BreakerOpenError,
-    CircuitBreaker,
-)
+from repro.service.breaker import BreakerConfig, CircuitBreaker
 from repro.service.client import ServiceClient
 from repro.service.daemon import (
     ReproService,
@@ -324,27 +319,6 @@ class TestCircuitBreaker:
         assert breaker.retry_after() == pytest.approx(10.0)
         assert breaker.opens == 2
 
-    def test_breaker_client_gates_and_records(self):
-        now = [0.0]
-        breaker = self._breaker(now)
-
-        class Flaky:
-            def __init__(self):
-                self.calls = 0
-
-            def complete(self, conversation):
-                self.calls += 1
-                raise RuntimeError("backend down")
-
-        client = BreakerClient(inner=Flaky(), breaker=breaker)
-        for _ in range(2):
-            with pytest.raises(RuntimeError):
-                client.complete("hi")
-        # Tripped: the inner client is no longer reached.
-        with pytest.raises(BreakerOpenError):
-            client.complete("hi")
-        assert client.inner.calls == 2
-
 
 class TestWorkerPool:
     def test_dispatch_order_is_priority_then_longest_then_fifo(self):
@@ -425,8 +399,8 @@ class TestWorkerPool:
 
 
 class TestResultStore:
-    """The daemon's result store is the cluster's store mirror, read
-    through an in-memory view that is re-read only when the file changes."""
+    """The daemon's result store is the ledger fold: the cells of
+    committed ``done`` records, keyed by recipe and run seed."""
 
     def _store(self, socket_dir, replica="r1"):
         config = _config(socket_dir)
@@ -440,7 +414,7 @@ class TestResultStore:
 
     def _commit(self, store, job_id, outcomes):
         token = store.register(job_id, {"spec_id": "s"})
-        store.commit(job_id, "s", outcomes, token)
+        store.commit(job_id, "s", outcomes, token, seed=0)
 
     def test_round_trips_and_skips_timeout_cells(self, socket_dir):
         store = self._store(socket_dir)
@@ -449,27 +423,26 @@ class TestResultStore:
             "BeAFix": self._cell(status="timeout", rep=0),
         })
         again = self._store(socket_dir, replica="r2")
-        assert again.lookup("s")["ATR"]["rep"] == 1
-        # Timeout cells are execution artifacts: never persisted, so a
+        assert again.lookup("s", 0)["ATR"]["rep"] == 1
+        # Timeout cells are execution artifacts: never stored, so a
         # resubmitted job recomputes them.
-        assert "BeAFix" not in again.lookup("s")
-        assert again.missing("s", ("ATR", "BeAFix")) == ("BeAFix",)
+        assert "BeAFix" not in again.lookup("s", 0)
+        assert again.missing("s", 0, ("ATR", "BeAFix")) == ("BeAFix",)
 
-    def test_corrupt_store_is_a_miss_not_a_crash(self, socket_dir):
+    def test_torn_done_record_is_a_miss_not_a_crash(self, socket_dir):
         store = self._store(socket_dir)
-        self._commit(store, "job-1", {"ATR": self._cell()})
-        store.store_path.write_text(
-            '{"schema": "repro-cluster-store/1", "data":'
-        )
-        # The view notices the file changed and reads the damage as a miss.
-        assert store.lookup("s") == {}
+        token = store.register("job-1", {"spec_id": "s"})
+        with store.ledger.path.open("ab") as handle:
+            handle.write(b'\n{"event":"done","job_id":"job-1","spec_id":"s"')
+        # A replica killed mid-commit: its torn record stores nothing.
         healed = self._store(socket_dir, replica="r2")
-        assert healed.lookup("s") == {}
-        # The next commit rewrites the mirror.
-        self._commit(healed, "job-2", {"ATR": self._cell()})
-        assert self._store(socket_dir, replica="r3").lookup("s")["ATR"][
-            "rep"
-        ] == 1
+        assert healed.lookup("s", 0) == {}
+        assert healed.snapshot()["ledger_corrupt_lines"] == 0
+        # The job's next commit lands and is served; the torn line is
+        # sealed off by that append and counted.
+        store.commit("job-1", "s", {"ATR": self._cell()}, token, seed=0)
+        assert healed.lookup("s", 0)["ATR"]["rep"] == 1
+        assert healed.snapshot()["ledger_corrupt_lines"] == 1
 
     def test_percentile_is_nearest_rank(self):
         # Nearest rank: the ceil(q * n)-th smallest value.
@@ -678,8 +651,6 @@ class TestDrainResume:
             )
             record, _ = service.submit(job)
             assert _wait(lambda: record.terminal)
-            mirror = service.cluster.store_path
-            before = mirror.stat()
             ledger_jobs = set(self._fold(config).jobs)
             acquired = service.cluster.acquired
             hit, _ = service.submit(job)
@@ -689,12 +660,82 @@ class TestDrainResume:
             assert service.cluster.snapshot()["leases_held"] == []
             assert set(self._fold(config).jobs) == ledger_jobs
             assert hit.job_id not in ledger_jobs
-            after = mirror.stat()
-            assert (after.st_ino, after.st_mtime_ns) == (
-                before.st_ino, before.st_mtime_ns
-            )
+            cluster_dir = config.resolved_cluster_dir()
+            assert sorted(p.name for p in cluster_dir.iterdir()) == [
+                ".cluster.lock",
+                "ledger.jsonl",
+            ]
         finally:
             service.pool.stop()
+
+    def test_store_hits_are_per_job_seed(self, socket_dir):
+        config = _config(socket_dir)
+        service = ReproService(config)
+        try:
+            spec_id = service.jobs_corpus_ids()[0]
+
+            def job(seed):
+                return JobSpec(
+                    benchmark="arepair", spec_id=spec_id,
+                    techniques=("ATR",), seed=seed,
+                )
+
+            first, _ = service.submit(job(1))
+            assert _wait(lambda: first.terminal)
+            other, _ = service.submit(job(0))
+            assert other.from_store is False
+            assert _wait(lambda: other.terminal)
+            assert other.state is JobState.DONE
+            again, _ = service.submit(job(1))
+            assert again.from_store is True
+            assert again.outcomes == first.outcomes
+            assert service.pool.executed == 2
+        finally:
+            service.pool.stop()
+
+    def test_result_landing_during_shutdown_commits(
+        self, socket_dir, monkeypatch
+    ):
+        import repro.service.daemon as daemon
+
+        config = _config(socket_dir)
+        running, release = threading.Event(), threading.Event()
+        real = daemon.execute_shard
+
+        def slow(task):
+            result = real(task)
+            running.set()
+            release.wait(10.0)
+            return result
+
+        monkeypatch.setattr(daemon, "execute_shard", slow)
+        handle = ServiceHandle.start(config)
+        try:
+            spec_id = handle.service.jobs_corpus_ids()[0]
+            outcome = ServiceClient(handle.socket).submit(
+                JobSpec(benchmark="arepair", spec_id=spec_id,
+                        techniques=("ATR",)),
+                watch=False,
+            )
+            assert running.wait(60.0)
+            # The worker finishes 0.3 s into the shutdown, inside the
+            # pool's join: the result must commit, not be fenced behind
+            # a drain.
+            threading.Timer(0.3, release.set).start()
+        finally:
+            handle.drain(grace=0.0)
+        fold = self._fold(config)
+        assert fold.jobs[outcome.job_id].state == "done"
+        events = {
+            record.get("event")
+            for record in JobLedger(
+                config.resolved_cluster_dir() / "ledger.jsonl",
+                config.resolved_cluster_dir() / ".cluster.lock",
+            ).replay()
+            if record.get("job_id") == outcome.job_id
+        }
+        assert not events & {"drained", "fenced"}, events
+        assert fold.fenced_commits == 0
 
 
 class TestServiceEndToEnd:
