@@ -27,9 +27,10 @@ Drills run inside a temporary ``REPRO_CACHE_DIR`` so they never touch
 (or trust) the user's caches.  The report is plain JSON written with
 sorted keys and **no** timestamps, durations, or paths — two runs with
 the same seed must produce byte-identical reports, which is itself one
-of the determinism guarantees CI pins.  The service and cluster suites
-(:mod:`repro.service.drill`) share this module's site check, report
-assembly and renderer: each is a :class:`Suite` plus a list of drills.
+of the determinism guarantees CI pins.  The daemon's suite
+(:mod:`repro.service.drill`) shares this module's site check, report
+assembly and renderer: each suite is a :class:`Suite` plus a list of
+drills.
 """
 
 from __future__ import annotations
@@ -536,6 +537,9 @@ class Suite:
     count."""
     report_file: str
     """Where ``repro chaos`` writes the report unless told otherwise."""
+    sites: frozenset[str]
+    """The injection sites the suite's drills can fire; the report lists
+    the requested ones within this set."""
 
 
 ENGINE_SUITE = Suite(
@@ -544,6 +548,7 @@ ENGINE_SUITE = Suite(
     held="all invariants held",
     header=("seed", "jobs", "scale"),
     report_file="chaos-report.json",
+    sites=frozenset(SITES),
 )
 
 
@@ -553,15 +558,16 @@ def run_suite(
     drills: Iterable[Callable[[set[str]], DrillResult]],
     **header,
 ) -> dict:
-    """Check the sites (default: all), run each drill on them in order,
-    and assemble the deterministic report.  An unknown site is refused
-    before any drill starts."""
+    """Check the sites (default: all), run each drill on the requested
+    ones the suite can fire, in order, and assemble the deterministic
+    report.  An unknown site is refused before any drill starts."""
     requested = set(sites) if sites is not None else set(SITES)
     unknown = requested - set(SITES)
     if unknown:
         raise ValueError(
             f"unknown injection site(s): {', '.join(sorted(unknown))}"
         )
+    requested &= suite.sites
     results = [drill(requested) for drill in drills]
     violations = sum(len(drill.violations) for drill in results)
     return {

@@ -17,8 +17,9 @@ Commands:
   ``--socket`` list fails over across replicas).
 - ``repro loadgen`` — drive a synthetic client fleet, report availability;
   ``--replicas N`` hosts and load-balances a whole cluster.
-- ``repro chaos [--service|--cluster]`` — fault-injection drills (engine,
-  daemon, or replicated tier with a mid-job ``kill -9``).
+- ``repro chaos [--service]`` — fault-injection drills of the batch engine,
+  or of the daemon alone and as a two-replica fleet with a mid-job
+  ``kill -9``.
 
 Experiment commands accept ``--scale`` (fraction of the Alloy4Fun benchmark,
 default 0.05 for laptop-friendly runs; 1.0 is the paper-sized benchmark),
@@ -308,35 +309,24 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="FILE.json",
         help="where to write the JSON report (deterministic bytes: two "
         "same-seed runs produce identical files); default "
-        "chaos-report.json, or service-/cluster-chaos-report.json with "
-        "--service/--cluster",
+        "chaos-report.json, or service-chaos-report.json with --service",
     )
     chaos.add_argument(
         "--list-sites",
         action="store_true",
         help="print the known injection sites and exit",
     )
-    suite = chaos.add_mutually_exclusive_group()
-    suite.add_argument(
+    chaos.add_argument(
         "--service",
         dest="suite",
         action="store_const",
         const="service",
         default="engine",
         help="drill the live service daemon instead of the batch engine: "
-        "availability under all injection sites, backpressure, circuit "
-        "breakers, drain/resume (report defaults to "
+        "availability under every site a job crosses, backpressure, "
+        "circuit breakers, drain/resume, lease edge cases, and a kill -9 "
+        "failover of a two-replica fleet (report defaults to "
         "service-chaos-report.json)",
-    )
-    suite.add_argument(
-        "--cluster",
-        dest="suite",
-        action="store_const",
-        const="cluster",
-        help="drill a replicated service tier: kill -9 a random replica "
-        "mid-job under the full fault plan and assert zero lost jobs, no "
-        "double commits, and fencing monotonicity (report defaults to "
-        "cluster-chaos-report.json)",
     )
 
     serve = sub.add_parser(
@@ -421,8 +411,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="FILE.json",
         help="install a serialized fault plan (FaultPlan.to_json) around "
-        "job executions and store flushes — how the cluster drill ships "
-        "one plan to every subprocess replica",
+        "job executions — how the cluster-failover drill ships one plan "
+        "to every subprocess replica",
     )
 
     submit = sub.add_parser(
@@ -712,6 +702,8 @@ def _matrices(args):
 
 
 def _cmd_experiment(args) -> int:
+    import time
+
     from repro.experiments import (
         compute_figure2,
         compute_figure3,
@@ -725,41 +717,31 @@ def _cmd_experiment(args) -> int:
         render_table2,
     )
 
+    started = time.time()
+    arepair, alloy4fun = _matrices(args)
+    techniques = list(args.techniques) if args.techniques else None
     if args.command == "all":
-        report = generate_report(
-            scale=args.scale,
-            seed=args.seed,
-            use_cache=not args.no_cache,
-            progress=True,
-            fail_fast=args.fail_fast,
-            jobs=args.jobs,
-            trace=args.trace,
-            trace_out=args.trace_out,
-            verbose=args.verbose,
-            shard_timeout=args.shard_timeout,
-        )
+        report = generate_report(arepair, alloy4fun, techniques, started)
         print(report.text)
         with open("EXPERIMENTS-report.txt", "w") as handle:
             handle.write(report.text + "\n")
         print("\n(written to EXPERIMENTS-report.txt)")
         return 0
 
-    arepair, alloy4fun = _matrices(args)
-    techniques = list(args.techniques) if args.techniques else None
     sections: list[str] = []
-    if args.command in ("table1", "all"):
+    if args.command == "table1":
         sections.append(
             render_table1(compute_table1(arepair, alloy4fun, techniques))
         )
-    if args.command in ("figure2", "all"):
+    if args.command == "figure2":
         sections.append(
             render_figure2(compute_figure2([arepair, alloy4fun], techniques))
         )
-    if args.command in ("figure3", "all"):
+    if args.command == "figure3":
         sections.append(
             render_figure3(compute_figure3([arepair, alloy4fun], techniques))
         )
-    if args.command in ("hybrid", "all"):
+    if args.command == "hybrid":
         analysis = compute_hybrid([arepair, alloy4fun])
         sections.append(render_table2(analysis))
         sections.append(render_figure4(analysis))
@@ -890,12 +872,7 @@ def _cmd_chaos(args) -> int:
         run_drills,
         write_report,
     )
-    from repro.service.drill import (
-        CLUSTER_SUITE,
-        SERVICE_SUITE,
-        run_cluster_drills,
-        run_service_drills,
-    )
+    from repro.service.drill import SERVICE_SUITE, run_service_drills
 
     if args.list_sites:
         width = max(len(name) for name in SITES)
@@ -910,10 +887,6 @@ def _cmd_chaos(args) -> int:
         "service": (
             SERVICE_SUITE,
             lambda: run_service_drills(args.seed, args.sites, args.scale),
-        ),
-        "cluster": (
-            CLUSTER_SUITE,
-            lambda: run_cluster_drills(args.seed, args.sites, args.scale),
         ),
     }
     suite, run = suites[args.suite]

@@ -14,13 +14,7 @@ from repro.benchmarks.stats import render_stats, summarize
 from repro.experiments.figure2 import compute_figure2, render_figure2
 from repro.experiments.figure3 import compute_figure3, render_figure3
 from repro.experiments.hybrid import compute_hybrid, render_figure4, render_table2
-from repro.experiments.progress import ConsoleListener, ProgressListener
-from repro.experiments.runner import (
-    ResultMatrix,
-    RunConfig,
-    derive_trace_out,
-    run_matrix,
-)
+from repro.experiments.runner import ResultMatrix
 from repro.experiments.table1 import compute_table1, render_table1
 from repro.obs.export import (
     merge_trace_data,
@@ -40,43 +34,19 @@ class StudyReport:
 
 
 def generate_report(
-    scale: float = 0.05,
-    seed: int = 0,
-    use_cache: bool = True,
-    progress: bool = False,
-    fail_fast: bool = False,
-    jobs: int = 1,
-    listener: ProgressListener | None = None,
-    trace: bool = False,
-    trace_out: str | None = None,
-    verbose: bool = False,
-    shard_timeout: float | None = None,
+    arepair: ResultMatrix,
+    alloy4fun: ResultMatrix,
+    techniques: list[str] | None,
+    started: float,
 ) -> StudyReport:
-    """Run both benchmarks and render the complete study report.
+    """Render the complete study report from the two benchmarks' matrices.
 
-    With ``trace``, both matrix runs capture spans/metrics, write one
-    trace JSONL each, and the report gains a TELEMETRY section rolling up
-    the per-technique costs.
+    ``techniques`` restricts Table I and Figures 2–3 to a subset, as the
+    single-artifact commands do.  ``started`` (a ``time.time()``) is
+    when the runs began, for the report's closing timing line.  Traced
+    matrices add a TELEMETRY section rolling up the per-technique costs.
     """
-    started = time.time()
-    if listener is None and (progress or verbose):
-        listener = ConsoleListener(verbose=verbose)
-    arepair = run_matrix(
-        RunConfig(
-            benchmark="arepair", scale=1.0, seed=seed, use_cache=use_cache,
-            fail_fast=fail_fast, jobs=jobs, listener=listener, trace=trace,
-            trace_out=derive_trace_out(trace_out, trace, "arepair", seed),
-            shard_timeout=shard_timeout,
-        )
-    )
-    alloy4fun = run_matrix(
-        RunConfig(
-            benchmark="alloy4fun", scale=scale, seed=seed, use_cache=use_cache,
-            fail_fast=fail_fast, jobs=jobs, listener=listener, trace=trace,
-            trace_out=derive_trace_out(trace_out, trace, "alloy4fun", seed),
-            shard_timeout=shard_timeout,
-        )
-    )
+    seed, scale = alloy4fun.seed, alloy4fun.scale
     matrices = [arepair, alloy4fun]
 
     sections = [
@@ -88,11 +58,11 @@ def generate_report(
         "",
         render_stats(summarize(alloy4fun.specs), "Alloy4Fun benchmark (sampled)"),
         "",
-        render_table1(compute_table1(arepair, alloy4fun)),
+        render_table1(compute_table1(arepair, alloy4fun, techniques)),
         "",
-        render_figure2(compute_figure2(matrices)),
+        render_figure2(compute_figure2(matrices, techniques)),
         "",
-        render_figure3(compute_figure3(matrices)),
+        render_figure3(compute_figure3(matrices, techniques)),
         "",
     ]
     analysis = compute_hybrid(matrices)

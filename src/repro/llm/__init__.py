@@ -7,7 +7,6 @@ from repro.llm.client import (
     Message,
     RetryingClient,
     TransientLLMError,
-    UnreliableClient,
     UsageStats,
 )
 from repro.llm.extract import (
@@ -47,7 +46,6 @@ __all__ = [
     "TranscriptRecorder",
     "TransientLLMError",
     "RepairHints",
-    "UnreliableClient",
     "UsageStats",
     "extract_module",
     "initial_multi_round_prompt",

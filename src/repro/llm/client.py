@@ -154,21 +154,3 @@ class RetryingClient:
                 )
         return completion
 
-
-@dataclass
-class UnreliableClient:
-    """Deterministic chaos injection for tests and resilience drills:
-    every ``failure_period``-th request raises :class:`TransientLLMError`
-    before reaching the wrapped client."""
-
-    inner: LLMClient
-    failure_period: int = 3
-    requests: int = 0
-
-    def complete(self, conversation: Conversation) -> str:
-        self.requests += 1
-        if self.failure_period > 0 and self.requests % self.failure_period == 0:
-            raise TransientLLMError(
-                f"injected transport failure on request {self.requests}"
-            )
-        return self.inner.complete(conversation)

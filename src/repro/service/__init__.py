@@ -32,12 +32,12 @@ solvers wedge, LLM backends flap, and load spikes.  The pieces:
   at-least-once execution, durable tenant quotas;
 - :mod:`repro.service.loadgen` — the synthetic-client load harness
   (``--replicas N`` spreads the fleet across a hosted cluster);
-- :mod:`repro.service.drill` — ``repro chaos --service``: the
-  fault-injection drills run *against the live daemon*, asserting the
-  availability SLO (no lost jobs, no corrupted results, bounded queue
-  latency) in a byte-stable report; ``repro chaos --cluster`` adds the
-  replicated-tier drills (mid-job ``kill -9`` failover, lease edge
-  cases).
+- :mod:`repro.service.drill` — ``repro chaos --service``: the one
+  suite of fault-injection drills run *against the live daemon*, alone
+  and as a two-replica fleet: the availability SLO (no lost jobs, no
+  corrupted results, bounded queue latency), backpressure, breakers,
+  drain/resume, lease edge cases and a mid-job ``kill -9`` failover, in
+  one byte-stable report.
 
 Heavy modules (daemon, drill — they pull in the experiment engine) are
 imported lazily by the CLI; importing :mod:`repro.service` itself stays

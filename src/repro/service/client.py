@@ -28,6 +28,7 @@ from dataclasses import dataclass, field
 from typing import Iterable
 
 from repro.service.protocol import (
+    TERMINAL_STATES,
     JobSpec,
     ProtocolError,
     ServiceError,
@@ -57,6 +58,19 @@ class SubmitOutcome:
     @property
     def rejected(self) -> bool:
         return not self.accepted
+
+
+def _record_state(outcome: SubmitOutcome, frame: dict) -> bool:
+    """Copy a job's state from an ``event`` or ``status`` frame into
+    ``outcome``, and its results too once terminal.  True when terminal."""
+    outcome.state = frame.get("state")
+    if outcome.state not in TERMINAL_STATES:
+        return False
+    outcome.outcomes = frame.get("outcomes", {})
+    outcome.failures = frame.get("failures", [])
+    outcome.from_store = bool(frame.get("from_store"))
+    outcome.error = frame.get("error")
+    return True
 
 
 class ServiceClient:
@@ -212,14 +226,9 @@ class ServiceClient:
                     return outcome
                 while True:
                     frame = self._read_frame(reader)
-                    if frame.get("type") != "event":
-                        continue
-                    outcome.state = frame.get("state")
-                    if outcome.state in ("done", "failed", "cancelled"):
-                        outcome.outcomes = frame.get("outcomes", {})
-                        outcome.failures = frame.get("failures", [])
-                        outcome.from_store = bool(frame.get("from_store"))
-                        outcome.error = frame.get("error")
+                    if frame.get("type") == "event" and _record_state(
+                        outcome, frame
+                    ):
                         return outcome
         except (ServiceError, OSError) as error:
             if outcome is None or outcome.job_id is None or not watch:
@@ -248,12 +257,7 @@ class ServiceClient:
                 # job until it replays the ledger / adopts it.
                 unknown += 1
                 continue
-            outcome.state = frame.get("state")
-            if outcome.state in ("done", "failed", "cancelled"):
-                outcome.outcomes = frame.get("outcomes", {})
-                outcome.failures = frame.get("failures", [])
-                outcome.from_store = bool(frame.get("from_store"))
-                outcome.error = frame.get("error")
+            if _record_state(outcome, frame):
                 return outcome
         raise ServiceError(
             f"watch stream for {outcome.job_id} died ({cause}) and "

@@ -74,6 +74,7 @@ from repro.service.ledger import (
 )
 from repro.service.protocol import (
     PROTOCOL_SCHEMA,
+    TERMINAL_STATES,
     JobRecord,
     JobSpec,
     JobState,
@@ -792,7 +793,7 @@ class ReproService:
             while True:
                 frame = await queue.get()
                 await self._send(writer, frame)
-                if frame.get("state") in ("done", "failed", "cancelled"):
+                if frame.get("state") in TERMINAL_STATES:
                     return
         finally:
             watchers = self._watchers.get(record.job_id, [])

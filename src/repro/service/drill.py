@@ -1,7 +1,9 @@
-"""``repro chaos --service`` — availability drills against a live daemon.
+"""``repro chaos --service`` — the drills of the live daemon.
 
 The batch-engine drills (:mod:`repro.chaos.harness`) prove the *engine's*
-contracts under injected faults; these prove the *service's*:
+contracts under injected faults; these prove the *daemon's*.  Every
+daemon is a one-replica cluster, so one suite drills it alone and as a
+fleet, in this order:
 
 - **service-availability** — a client fleet submits the whole corpus to a
   daemon whose executions run under every fault site that can fire in
@@ -24,10 +26,7 @@ contracts under injected faults; these prove the *service's*:
   every pending job; a restarted daemon replays the ledger, adopts all of
   them under their ids before it listens, and produces bit-identical
   outcomes to a direct execution; a third incarnation serves the same
-  jobs straight from the cells the ledger holds.
-
-``repro chaos --cluster`` drills the *replicated* tier on top of these:
-
+  jobs straight from the cells the ledger holds;
 - **cluster-lease** — fake-clock edge cases of the ledger-kept leases:
   boundary-inclusive expiry, exactly-one-winner adoption of an orphan,
   stale-writer rejection at the result store, torn-tail tolerance of the
@@ -40,6 +39,10 @@ contracts under injected faults; these prove the *service's*:
   monotonic fencing-token trail, and every committed cell bit-identical
   to an uninterrupted direct engine execution under the same plan.
 
+service-availability and cluster-failover check against one reference:
+the direct engine execution of the whole corpus under the same plan,
+computed once per suite run.
+
 Reports follow the chaos-report contract: canonical JSON, no timestamps,
 durations, or counts that depend on thread timing — two same-seed runs
 are byte-identical (CI pins this with a double-run ``cmp``).
@@ -47,6 +50,7 @@ are byte-identical (CI pins this with a double-run ``cmp``).
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
@@ -57,6 +61,7 @@ import tempfile
 import threading
 import time
 from pathlib import Path
+from typing import Callable
 
 from repro.benchmarks.cache import load_benchmark
 from repro.chaos.harness import (
@@ -80,30 +85,10 @@ from repro.service.ledger import (
     StaleWriterError,
 )
 from repro.service.loadgen import plan_jobs, run_load
-from repro.service.protocol import (
-    CLUSTER_REPORT_SCHEMA,
-    JobSpec,
-    ServiceError,
-)
+from repro.service.protocol import JobSpec, ServiceError
 
-SERVICE_CHAOS_SCHEMA = "repro-service-chaos/1"
+SERVICE_CHAOS_SCHEMA = "repro-service-chaos/2"
 """Stamped into every service chaos report; bump on any shape change."""
-
-SERVICE_SUITE = Suite(
-    schema=SERVICE_CHAOS_SCHEMA,
-    title="SERVICE CHAOS",
-    held="availability SLO held",
-    header=("seed", "scale"),
-    report_file="service-chaos-report.json",
-)
-
-CLUSTER_SUITE = Suite(
-    schema=CLUSTER_REPORT_SCHEMA,
-    title="CLUSTER CHAOS",
-    held="failover invariants held",
-    header=("seed", "scale", "replicas"),
-    report_file="cluster-chaos-report.json",
-)
 
 AVAILABILITY_SITES: dict[str, SiteConfig] = {
     "sat.budget": SiteConfig(probability=0.05, max_fires=2),
@@ -126,6 +111,21 @@ AVAILABILITY_TECHNIQUES = ("ATR", "BeAFix", "Single-Round_Pass")
 
 QUEUE_WAIT_SLO_P99 = 30.0
 """Seconds.  Generous — the assertion is boundedness, not speed."""
+
+SERVICE_SUITE = Suite(
+    schema=SERVICE_CHAOS_SCHEMA,
+    title="SERVICE CHAOS",
+    held="availability and failover invariants held",
+    header=("seed", "scale", "replicas"),
+    report_file="service-chaos-report.json",
+    sites=frozenset(AVAILABILITY_SITES),
+)
+
+Reference = Callable[
+    [tuple[str, ...], FaultPlan | None], tuple[dict, list[dict]]
+]
+"""The direct engine execution of some specs under a plan: their cell
+payloads and fault schedule."""
 
 
 def _cells_payload(outcomes: dict[str, dict]) -> dict:
@@ -170,6 +170,61 @@ def _reference_execution(
     return payload, events
 
 
+def _corpus_reference(seed: int, scale: float) -> Reference:
+    """The reference service-availability and cluster-failover share:
+    the :data:`AVAILABILITY_TECHNIQUES` cells of some specs under a plan,
+    run directly through the engine in a fresh cache the first time they
+    are asked for, then kept for the suite run."""
+
+    @functools.cache
+    def reference(
+        spec_ids: tuple[str, ...], plan: FaultPlan | None
+    ) -> tuple[dict, list[dict]]:
+        with _temp_cache():
+            return _reference_execution(
+                list(spec_ids), scale, AVAILABILITY_TECHNIQUES, seed, plan
+            )
+
+    return reference
+
+
+def _availability_plan(seed: int, active: list[str]) -> FaultPlan | None:
+    """The ``active`` availability sites as one plan; ``None`` if none."""
+    if not active:
+        return None
+    return FaultPlan(
+        seed=seed, sites={site: AVAILABILITY_SITES[site] for site in active}
+    )
+
+
+def _check_against_reference(
+    drill: DrillResult,
+    reference: tuple[dict, list[dict]],
+    payload: dict,
+    events: list[dict],
+    cells: str,
+    schedule: str,
+) -> None:
+    """Record where ``payload`` and its fault ``events`` diverge from
+    the reference run: cell payloads first, then the fault schedule.
+    ``cells`` and ``schedule`` name the checked side in violations."""
+    reference_payload, reference_events = reference
+    if payload != reference_payload:
+        diverging = sorted(
+            spec_id
+            for spec_id in reference_payload
+            if payload.get(spec_id) != reference_payload[spec_id]
+        )
+        drill.violations.append(
+            f"{cells} diverge from direct execution for {diverging}"
+        )
+    if _events_by_site(events) != _events_by_site(reference_events):
+        drill.violations.append(
+            f"{schedule} fault schedule diverges from the reference run: "
+            f"{_events_by_site(events)} != {_events_by_site(reference_events)}"
+        )
+
+
 def _socket_dir() -> tempfile.TemporaryDirectory:
     # Unix socket paths are length-limited (~108 bytes); a short /tmp dir
     # keeps the drill independent of how deep REPRO_CACHE_DIR nests.
@@ -177,18 +232,16 @@ def _socket_dir() -> tempfile.TemporaryDirectory:
 
 
 def availability_drill(
-    seed: int, requested: set[str], scale: float
+    seed: int, requested: set[str], scale: float, reference: Reference
 ) -> DrillResult:
     """The headline SLO: no lost jobs, no corrupted results, bounded p99,
     deterministic fault schedule — under all seven sites at once."""
     drill = DrillResult(name="service-availability")
     active = sorted(requested & set(AVAILABILITY_SITES))
-    if not active:
+    plan = _availability_plan(seed, active)
+    if plan is None:
         drill.skipped = True
         return drill
-    plan = FaultPlan(
-        seed=seed, sites={site: AVAILABILITY_SITES[site] for site in active}
-    )
     with _temp_cache(), _socket_dir() as sock_dir:
         config = ServiceConfig(
             socket=str(Path(sock_dir) / "drill.sock"),
@@ -247,25 +300,14 @@ def availability_drill(
             "retry_after hint"
         )
 
-    with _temp_cache():
-        reference_payload, reference_events = _reference_execution(
-            spec_ids, scale, AVAILABILITY_TECHNIQUES, seed, plan
-        )
-    if service_payload != reference_payload:
-        diverging = sorted(
-            spec_id
-            for spec_id in reference_payload
-            if service_payload.get(spec_id) != reference_payload[spec_id]
-        )
-        drill.violations.append(
-            f"service results diverge from direct execution for {diverging}"
-        )
-    if _events_by_site(service_events) != _events_by_site(reference_events):
-        drill.violations.append(
-            "service fault schedule diverges from the reference run: "
-            f"{_events_by_site(service_events)} != "
-            f"{_events_by_site(reference_events)}"
-        )
+    _check_against_reference(
+        drill,
+        reference(tuple(spec_ids), plan),
+        service_payload,
+        service_events,
+        cells="service results",
+        schedule="service",
+    )
     fired = {event["site"] for event in service_events}
     for site in active:
         if site not in fired:
@@ -911,21 +953,14 @@ def _failover_worker(
 
 
 def cluster_failover_drill(
-    seed: int, requested: set[str], scale: float
+    seed: int, requested: set[str], scale: float, reference: Reference
 ) -> DrillResult:
     """Kill -9 a replica mid-job; assert the cluster's four invariants:
     zero lost jobs, zero double commits, monotonic fencing tokens, and
     byte-identical committed cells versus direct execution."""
     drill = DrillResult(name="cluster-failover")
     active = sorted(requested & set(AVAILABILITY_SITES))
-    plan = (
-        FaultPlan(
-            seed=seed,
-            sites={site: AVAILABILITY_SITES[site] for site in active},
-        )
-        if active
-        else None
-    )
+    plan = _availability_plan(seed, active)
     digest = hashlib.sha256(f"{seed}:victim".encode()).digest()
     victim = CLUSTER_REPLICAS[
         int.from_bytes(digest[:4], "big") % len(CLUSTER_REPLICAS)
@@ -1107,20 +1142,21 @@ def cluster_failover_drill(
         for spec_id in sorted(committed)
         if spec_id in set(spec_ids)
     }
-    with _temp_cache():
-        reference_payload, reference_events = _reference_execution(
-            spec_ids, scale, AVAILABILITY_TECHNIQUES, seed, plan
-        )
-    if cluster_payload != reference_payload:
-        diverging = sorted(
-            spec_id
-            for spec_id in reference_payload
-            if cluster_payload.get(spec_id) != reference_payload[spec_id]
-        )
-        drill.violations.append(
-            "failed-over cells diverge from direct execution for "
-            f"{diverging}"
-        )
+    cluster_events = [
+        event
+        for spec_id in sorted(committed_events)
+        for event in committed_events[spec_id]
+    ]
+    reference_run = reference(tuple(spec_ids), plan)
+    _check_against_reference(
+        drill,
+        reference_run,
+        cluster_payload,
+        cluster_events,
+        cells="failed-over cells",
+        schedule="cluster",
+    )
+    reference_payload = reference_run[0]
     client_payload = {
         spec_id: _cells_payload(getattr(outcome, "outcomes", {}))
         for spec_id, outcome in sorted(results.items())
@@ -1132,17 +1168,6 @@ def cluster_failover_drill(
                 f"client-observed cells diverge for {spec_id}"
             )
             break
-    cluster_events = [
-        event
-        for spec_id in sorted(committed_events)
-        for event in committed_events[spec_id]
-    ]
-    if _events_by_site(cluster_events) != _events_by_site(reference_events):
-        drill.violations.append(
-            "cluster fault schedule diverges from the reference run: "
-            f"{_events_by_site(cluster_events)} != "
-            f"{_events_by_site(reference_events)}"
-        )
     drill.detail = {
         "replicas": list(CLUSTER_REPLICAS),
         "victim": victim,
@@ -1158,40 +1183,29 @@ def cluster_failover_drill(
     return drill
 
 
-def run_cluster_drills(
-    seed: int = 0,
-    sites=None,
-    scale: float = 0.05,
-) -> dict:
-    """Run the replicated-tier drills and assemble the report."""
-    return run_suite(
-        CLUSTER_SUITE,
-        sites,
-        [
-            lambda requested: cluster_lease_drill(seed),
-            lambda requested: cluster_failover_drill(seed, requested, scale),
-        ],
-        seed=seed,
-        scale=scale,
-        replicas=len(CLUSTER_REPLICAS),
-    )
-
-
 def run_service_drills(
     seed: int = 0,
     sites=None,
     scale: float = 0.05,
 ) -> dict:
-    """Run the service drills and assemble the deterministic report."""
+    """Run the daemon drills and assemble the deterministic report."""
+    reference = _corpus_reference(seed, scale)
     return run_suite(
         SERVICE_SUITE,
         sites,
         [
-            lambda requested: availability_drill(seed, requested, scale),
+            lambda requested: availability_drill(
+                seed, requested, scale, reference
+            ),
             lambda requested: backpressure_drill(seed, scale),
             lambda requested: breaker_drill(seed, requested, scale),
             lambda requested: drain_resume_drill(seed, scale),
+            lambda requested: cluster_lease_drill(seed),
+            lambda requested: cluster_failover_drill(
+                seed, requested, scale, reference
+            ),
         ],
         seed=seed,
         scale=scale,
+        replicas=len(CLUSTER_REPLICAS),
     )

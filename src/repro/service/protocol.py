@@ -34,9 +34,6 @@ from repro.runtime.errors import ReproError
 PROTOCOL_SCHEMA = "repro-service/1"
 """Spoken version; the daemon stamps it into every ``ack`` and ``pong``."""
 
-CLUSTER_REPORT_SCHEMA = "repro-cluster-chaos/1"
-"""Schema of the ``repro chaos --cluster`` drill report."""
-
 
 class ServiceError(ReproError):
     """The service layer failed outside any single job."""
@@ -58,12 +55,9 @@ class JobState(str, enum.Enum):
     RUNNING = "running"
     DONE = "done"
     FAILED = "failed"
-    CANCELLED = "cancelled"
 
 
-TERMINAL_STATES = frozenset(
-    {JobState.DONE, JobState.FAILED, JobState.CANCELLED}
-)
+TERMINAL_STATES = frozenset({JobState.DONE, JobState.FAILED})
 
 LLM_TECHNIQUE_PREFIXES = ("Single-Round", "Multi-Round")
 """Technique families whose repair path calls the LLM transport — the set

@@ -1,5 +1,7 @@
 """CLI tests for the stats and parser-level experiment arguments."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.cli import EXIT_USAGE, build_parser, main
@@ -47,21 +49,29 @@ class TestRemovedExecutionFlags:
 
 
 class TestChaosSuiteFlags:
-    """``repro chaos`` runs exactly one suite; asking for two is refused
-    instead of silently running one of them."""
+    """``repro chaos`` has two suites: the batch engine's and the
+    daemon's, which drills it alone and as a replicated fleet."""
 
     @pytest.mark.parametrize(
         "flags, suite",
-        [([], "engine"), (["--service"], "service"), (["--cluster"], "cluster")],
+        [([], "engine"), (["--service"], "service")],
     )
     def test_flag_selects_the_suite(self, flags, suite):
         assert build_parser().parse_args(["chaos", *flags]).suite == suite
+
+    def test_cluster_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["chaos", "--cluster", "--seed", "0"])
+        assert exit_info.value.code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "unrecognized arguments: --cluster" in err
+        assert "internal error" not in err
 
     def test_service_and_cluster_are_a_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exit_info:
             main(["chaos", "--service", "--cluster", "--seed", "0"])
         assert exit_info.value.code == EXIT_USAGE
-        assert "not allowed with argument" in capsys.readouterr().err
+        assert "unrecognized arguments: --cluster" in capsys.readouterr().err
 
     def test_serve_keeps_its_store(self, capsys):
         with pytest.raises(SystemExit) as exit_info:
@@ -128,3 +138,52 @@ class TestServeTuningValues:
         assert "internal error" not in err
         assert err.startswith("repro serve: error: ")
         assert err.count("\n") == 1
+
+
+class TestAllCommand:
+    """``repro all`` runs its matrices the way the single-artifact
+    commands do, ``--techniques`` included."""
+
+    def test_techniques_reach_every_run(self, monkeypatch, tmp_path):
+        from repro import experiments
+        from repro.experiments import runner
+
+        built = []
+        post_init = runner.RunConfig.__post_init__
+
+        def record(config):
+            post_init(config)
+            built.append(config)
+            # Checked at construction: a config without the subset never
+            # reaches a real (and slow) matrix run.
+            assert config.techniques == ("ATR", "BeAFix"), config
+
+        def run_matrix(config):
+            matrix = runner.ResultMatrix(
+                config.benchmark, config.seed, config.scale
+            )
+            for index in range(3):
+                spec_id = f"{config.benchmark}#{index}"
+                matrix.specs.append(SimpleNamespace(
+                    spec_id=spec_id, domain="d", depth=1,
+                    fault_description="", faulty_source="",
+                ))
+                matrix.outcomes[spec_id] = {
+                    technique: runner.SpecOutcome(
+                        spec_id, technique, index % 2, index / 4, index / 4,
+                        "fixed", 0.0,
+                    )
+                    for technique in config.techniques
+                }
+            return matrix
+
+        monkeypatch.setattr(runner.RunConfig, "__post_init__", record)
+        monkeypatch.setattr(experiments, "run_matrix", run_matrix)
+        monkeypatch.chdir(tmp_path)
+        assert main(["all", "--techniques", "ATR,BeAFix"]) == 0
+        assert [config.benchmark for config in built] == [
+            "arepair",
+            "alloy4fun",
+        ]
+        report = (tmp_path / "EXPERIMENTS-report.txt").read_text()
+        assert "Multi-Round_Auto" not in report.split("Table II")[0]

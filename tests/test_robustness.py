@@ -16,12 +16,8 @@ from repro.experiments.runner import (
     run_matrix,
     run_spec,
 )
-from repro.llm.client import (
-    Conversation,
-    RetryingClient,
-    TransientLLMError,
-    UnreliableClient,
-)
+from repro import chaos
+from repro.llm.client import Conversation, RetryingClient, TransientLLMError
 from repro.llm.extract import extract_module
 from repro.llm.mock_gpt import MockGPT
 from repro.repair.base import RepairStatus, RepairTask, RepairTool
@@ -269,14 +265,26 @@ class TestBudgetedAnalysis:
 
 class TestRetryingClient:
     def test_rides_through_injected_failures(self):
-        inner = MockGPT(seed=7)
-        flaky = UnreliableClient(inner, failure_period=2)
-        client = RetryingClient(flaky, policy=RetryPolicy(attempts=3))
+        # Every request fails until the site's two fires are spent: fewer
+        # than the policy's three attempts, so the retries absorb them.
+        plan = chaos.FaultPlan(
+            seed=0,
+            sites={
+                "llm.transient": chaos.SiteConfig(probability=1.0, max_fires=2)
+            },
+        )
+        client = RetryingClient(
+            MockGPT(seed=7),
+            policy=RetryPolicy(attempts=3),
+            sleep=lambda delay: None,
+        )
         conversation = Conversation()
         conversation.add("user", "fix this spec please")
         reference = MockGPT(seed=7).complete(conversation)
-        for _ in range(4):  # every 2nd inner request fails
-            assert client.complete(conversation) == reference
+        with chaos.install(plan) as scope:
+            for _ in range(4):
+                assert client.complete(conversation) == reference
+        assert len(scope.events) == 2
         assert client.retries > 0
 
     def test_gives_up_after_policy_attempts(self):
