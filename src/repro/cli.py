@@ -742,7 +742,7 @@ def _cmd_experiment(args) -> int:
             render_figure3(compute_figure3([arepair, alloy4fun], techniques))
         )
     if args.command == "hybrid":
-        analysis = compute_hybrid([arepair, alloy4fun])
+        analysis = compute_hybrid([arepair, alloy4fun], techniques)
         sections.append(render_table2(analysis))
         sections.append(render_figure4(analysis))
     report = "\n\n".join(sections)

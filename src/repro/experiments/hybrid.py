@@ -44,27 +44,31 @@ class HybridCell:
 
 @dataclass
 class HybridAnalysis:
-    """All 32 hybrid combinations over the combined benchmarks."""
+    """The hybrid combinations of the (traditional, LLM) pairs that ran."""
 
     cells: dict[tuple[str, str], HybridCell]
     total_specs: int
 
-    def best(self) -> HybridCell:
-        return max(self.cells.values(), key=lambda c: c.union)
+    def best(self) -> HybridCell | None:
+        return max(self.cells.values(), key=lambda c: c.union, default=None)
 
 
-def compute_hybrid(matrices: list[ResultMatrix]) -> HybridAnalysis:
-    repaired: dict[str, set[str]] = {}
+def compute_hybrid(
+    matrices: list[ResultMatrix], techniques: list[str] | None = None
+) -> HybridAnalysis:
+    ran = techniques or TRADITIONAL + SINGLE_ROUND + MULTI_ROUND
+    trads = [t for t in TRADITIONAL if t in ran]
+    llms = [t for t in SINGLE_ROUND + MULTI_ROUND if t in ran]
+    repaired: dict[str, set[str]] = {t: set() for t in trads + llms}
     total = 0
     for matrix in matrices:
         total += len(matrix.specs)
-        for technique in TRADITIONAL + SINGLE_ROUND + MULTI_ROUND:
-            bucket = repaired.setdefault(technique, set())
+        for technique, bucket in repaired.items():
             for spec_id in matrix.repaired_ids(technique):
                 bucket.add(f"{matrix.benchmark}:{spec_id}")
     cells: dict[tuple[str, str], HybridCell] = {}
-    for traditional in TRADITIONAL:
-        for llm in SINGLE_ROUND + MULTI_ROUND:
+    for traditional in trads:
+        for llm in llms:
             trad_set = repaired[traditional]
             llm_set = repaired[llm]
             cells[(traditional, llm)] = HybridCell(
@@ -83,7 +87,7 @@ def render_table2(analysis: HybridAnalysis) -> str:
         "Table II — hybrid repair capabilities (measured)",
         f"Total specifications: {analysis.total_specs}",
         "",
-        f"{'traditional':<10}{'llm':<24}{'trad':>6}{'llm':>6}"
+        f"{'traditional':<12}{'llm':<22}{'trad':>6}{'llm':>6}"
         f"{'overlap':>9}{'union':>7}{'paper-union(scaled)':>21}",
     ]
     paper_total = 1974
@@ -98,6 +102,8 @@ def render_table2(analysis: HybridAnalysis) -> str:
         )
     best = analysis.best()
     lines.append("")
+    if best is None:
+        return "\n".join(lines + ["no hybrid pairs ran"])
     lines.append(
         f"Best hybrid (measured): {best.traditional} + {best.llm} = "
         f"{best.union}/{analysis.total_specs} "
@@ -108,18 +114,21 @@ def render_table2(analysis: HybridAnalysis) -> str:
 
 
 def render_figure4(analysis: HybridAnalysis) -> str:
-    """The 32 Venn diagrams as text: (unique-trad | overlap | unique-llm)."""
+    """The Venn diagrams as text: (unique-trad | overlap | unique-llm)."""
     lines = [
         "Figure 4 — Venn diagrams of hybrid repair capabilities (measured)",
         "Each cell: unique-traditional ( overlap ) unique-LLM",
         "",
     ]
-    llm_rows = SINGLE_ROUND + MULTI_ROUND
-    header = f"{'':<24}" + "".join(f"{t:>22}" for t in TRADITIONAL)
+    if not analysis.cells:
+        return "\n".join(lines + ["no hybrid pairs ran"])
+    columns = list(dict.fromkeys(t for t, _ in analysis.cells))
+    llm_rows = list(dict.fromkeys(llm for _, llm in analysis.cells))
+    header = f"{'':<24}" + "".join(f"{t:>22}" for t in columns)
     lines.append(header)
     for llm in llm_rows:
         cells = []
-        for traditional in TRADITIONAL:
+        for traditional in columns:
             cell = analysis.cells[(traditional, llm)]
             cells.append(
                 f"{cell.unique_traditional:>6}({cell.overlap:>5}){cell.unique_llm:>6}   "

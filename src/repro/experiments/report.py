@@ -2,7 +2,7 @@
 
 Assembles every regenerated artifact — corpus statistics, Table I, Figure 2,
 Figure 3, Table II/Figure 4 — into one text report with the paper's values
-alongside for shape comparison.
+alongside for shape comparison, then the verdict of every checked finding.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from repro.benchmarks.stats import render_stats, summarize
 from repro.experiments.figure2 import compute_figure2, render_figure2
 from repro.experiments.figure3 import compute_figure3, render_figure3
+from repro.experiments.findings import check_findings, render_findings
 from repro.experiments.hybrid import compute_hybrid, render_figure4, render_table2
 from repro.experiments.runner import ResultMatrix
 from repro.experiments.table1 import compute_table1, render_table1
@@ -41,8 +42,8 @@ def generate_report(
 ) -> StudyReport:
     """Render the complete study report from the two benchmarks' matrices.
 
-    ``techniques`` restricts Table I and Figures 2–3 to a subset, as the
-    single-artifact commands do.  ``started`` (a ``time.time()``) is
+    ``techniques`` restricts every artifact and the findings to a subset,
+    as the single-artifact commands do.  ``started`` (a ``time.time()``) is
     when the runs began, for the report's closing timing line.  Traced
     matrices add a TELEMETRY section rolling up the per-technique costs.
     """
@@ -65,11 +66,13 @@ def generate_report(
         render_figure3(compute_figure3(matrices, techniques)),
         "",
     ]
-    analysis = compute_hybrid(matrices)
+    analysis = compute_hybrid(matrices, techniques)
     sections.append(render_table2(analysis))
     sections.append("")
     sections.append(render_figure4(analysis))
     sections.append("")
+    checks = check_findings(arepair, alloy4fun, techniques)
+    sections += [render_findings(checks), ""]
     telemetry = [m.telemetry for m in matrices if m.telemetry is not None]
     if telemetry:
         # The traced run's cost profile: where each technique spent its

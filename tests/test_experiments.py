@@ -148,9 +148,20 @@ class TestRenderers:
         )
         assert cell.unique_traditional >= 0 and cell.unique_llm >= 0
 
+    def test_hybrid_covers_only_pairs_that_ran(self, synthetic_matrices):
+        none = compute_hybrid(synthetic_matrices, ["ATR", "BeAFix"])
+        assert none.cells == {} and none.best() is None
+        assert render_table2(none).endswith("no hybrid pairs ran")
+        assert render_figure4(none).endswith("no hybrid pairs ran")
+        one = compute_hybrid(synthetic_matrices, ["ATR", "Multi-Round_None"])
+        assert list(one.cells) == [("ATR", "Multi-Round_None")]
+        assert one.best() is one.cells[("ATR", "Multi-Round_None")]
+
     def test_hybrid_renders(self, synthetic_matrices):
         analysis = compute_hybrid(synthetic_matrices)
-        assert "Table II" in render_table2(analysis)
+        table = render_table2(analysis).splitlines()
+        assert "Table II" in table[0]
+        assert table[3].split()[:2] == ["traditional", "llm"]
         assert "Venn" in render_figure4(analysis)
 
     def test_hybrid_union_never_below_parts(self, synthetic_matrices):

@@ -175,6 +175,8 @@ class TestBudget:
         solver = make_solver(pigeons * holes, clauses)
         with pytest.raises(BudgetExceeded):
             solver.solve(conflict_limit=2)
+        # Without the budget the same solver proves it unsatisfiable.
+        assert solver.solve() is False
 
     def test_generous_budget_succeeds(self):
         solver = make_solver(3, [[1, 2], [-1, 3]])

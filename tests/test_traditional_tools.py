@@ -3,6 +3,7 @@
 import pytest
 
 from repro.analyzer.analyzer import Analyzer
+from repro.benchmarks.models import get_model
 from repro.metrics.rep import rep
 from repro.repair.arepair import ARepair, ARepairConfig
 from repro.repair.atr import Atr, AtrConfig
@@ -78,11 +79,15 @@ class TestBeAFix:
         assert not result.fixed
 
     def test_pruning_reduces_oracle_queries(self, operator_task):
-        pruned = BeAFix(BeAFixConfig(prune=True)).repair(operator_task)
-        unpruned = BeAFix(
-            BeAFixConfig(prune=False, max_oracle_queries=10_000)
-        ).repair(operator_task)
-        assert pruned.oracle_queries <= unpruned.oracle_queries
+        # Second input: the corpus's graphs_a with its closure dropped.
+        graphs = get_model("graphs_a").source.replace("n.^adj", "n.adj", 1)
+        for task in (operator_task, RepairTask.from_source(graphs)):
+            pruned = BeAFix(BeAFixConfig(prune=True)).repair(task)
+            unpruned = BeAFix(
+                BeAFixConfig(prune=False, max_oracle_queries=10_000)
+            ).repair(task)
+            assert pruned.fixed and unpruned.fixed
+            assert pruned.oracle_queries <= unpruned.oracle_queries
 
     def test_candidate_meets_own_oracle(self, operator_task):
         result = BeAFix().repair(operator_task)
