@@ -1,8 +1,7 @@
 """Survey the regenerated benchmarks: sizes, fault mix, and difficulty.
 
 Builds the full ARepair-38 suite plus a sample of the Alloy4Fun benchmark
-and prints their statistics, then runs the dynamic-selector portfolio (the
-paper's future-work extension) on a handful of specifications.
+and prints their statistics.
 
 Run with::
 
@@ -10,9 +9,6 @@ Run with::
 """
 
 from repro.benchmarks import load_benchmark, render_stats, summarize
-from repro.llm.mock_gpt import GPT4_PROFILE, MockGPT
-from repro.metrics import rep
-from repro.repair import DynamicSelector, RepairTask, characterize
 
 
 def main() -> None:
@@ -22,24 +18,6 @@ def main() -> None:
     print(render_stats(summarize(arepair), "ARepair benchmark (full)"))
     print()
     print(render_stats(summarize(alloy4fun), "Alloy4Fun benchmark (2% sample)"))
-    print()
-
-    print("Dynamic selector on the first five Alloy4Fun faults:")
-    selector = DynamicSelector(MockGPT(seed=3, profile=GPT4_PROFILE))
-    for spec in alloy4fun[:5]:
-        task = RepairTask.from_source(spec.faulty_source)
-        profile = characterize(task)
-        result = selector.repair(task)
-        fixed = rep(result.final_source(task), spec.truth_source)
-        kind = (
-            "under-constrained"
-            if profile.looks_underconstrained
-            else "over-constrained"
-        )
-        print(
-            f"  {spec.spec_id:<22} {kind:<18} depth={spec.depth} "
-            f"-> REP={fixed}  ({result.detail.split(';')[-1].strip()[:50]})"
-        )
 
 
 if __name__ == "__main__":

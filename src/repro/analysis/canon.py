@@ -106,9 +106,9 @@ def verdict_sharing() -> Iterator[None]:
     """Share oracle results across every tool run in the dynamic extent.
 
     The experiment engine runs each shard's techniques sequentially over
-    the *same* task, so BeAFix, ATR, and any inner tools ICEBAR or the
-    selector spawn all re-derive the same facts: the task's failing
-    evidence, and verdicts for candidates that several generators emit.
+    the *same* task, so BeAFix, ATR, and the inner tools ICEBAR spawns all
+    re-derive the same facts: the task's failing evidence, and verdicts
+    for candidates that several generators emit.
     Installing this scope around a shard lets :class:`PropertyOracle`
     instances publish those results into one dictionary keyed by the task
     fingerprint — verdicts under the candidate's canonical form,

@@ -82,8 +82,8 @@ def _baseline_findings(
     """The module's own lint findings, memoized per (module identity,
     rule-set).
 
-    ICEBAR and the selector drive several inner tools over the same task
-    module, and each builds its own :class:`CandidateFilter`; the memo
+    ICEBAR drives several inner tools over the same task module, and
+    each builds its own :class:`CandidateFilter`; the memo
     makes every build after the first free and counts the reuse under
     ``analysis.baseline_lint_reuse``.
     """

@@ -218,7 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--technique",
         default="ATR",
         help="any registered technique: ATR, BeAFix, ARepair, ICEBAR, "
-        "Single-Round_<setting>, Multi-Round_<feedback>, Dynamic",
+        "Single-Round_<setting>, Multi-Round_<feedback>",
     )
     repair.add_argument("--seed", type=int, default=0)
 
@@ -647,8 +647,8 @@ def _cmd_repair(args) -> int:
         return 2
     from repro.analysis import verdict_sharing
 
-    # verdict_sharing lets composite techniques (ICEBAR, the selector)
-    # replay evidence and verdicts across their inner tools' oracles.
+    # verdict_sharing lets a composite technique (ICEBAR) replay evidence
+    # and verdicts across its inner tools' oracles.
     with verdict_sharing():
         result = tool.repair(task)
     print(f"status: {result.status.value} ({result.detail})")

@@ -15,7 +15,6 @@ from repro.experiments.hybrid import (
     compute_hybrid,
     render_figure4,
     render_table2,
-    sequential_hybrid,
 )
 from repro.experiments.progress import (
     ConsoleListener,
@@ -70,5 +69,4 @@ __all__ = [
     "render_table2",
     "run_matrix",
     "run_spec",
-    "sequential_hybrid",
 ]

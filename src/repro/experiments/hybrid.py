@@ -4,10 +4,12 @@ For each of the 32 (traditional, LLM) pairs the study reports the individual
 repair counts, their overlap, and the union — the repair capability of the
 hybrid.  The Venn diagrams of Figure 4 are rendered as text triples.
 
-Beyond the paper's set-union analysis, :func:`sequential_hybrid` implements
-the *pipeline* hybrid the discussion section proposes: run the traditional
-tool's fault localization, feed the location to the LLM as a Loc hint, and
-let the multi-round loop refine — a genuinely integrated combination.
+The union lets the ground truth pick the winner; a user has only the
+tools' own verdicts.  So each pair also carries its two gated cascades:
+``A → B`` keeps A's output where A itself reports ``fixed`` and otherwise
+takes B's.  Cell seeds depend only on (run seed, spec, technique), so a
+cascade computed from the matrix is exactly what running the two tools in
+that order would give.
 """
 
 from __future__ import annotations
@@ -28,6 +30,10 @@ class HybridCell:
     traditional_repairs: int
     llm_repairs: int
     overlap: int
+    traditional_first: int
+    """Repairs of the cascade traditional → LLM."""
+    llm_first: int
+    """Repairs of the cascade LLM → traditional."""
 
     @property
     def union(self) -> int:
@@ -53,6 +59,14 @@ class HybridAnalysis:
         return max(self.cells.values(), key=lambda c: c.union, default=None)
 
 
+def _cascade(first: set[str], claimed: set[str], second: set[str]) -> int:
+    """Repairs of running the first tool, keeping its output where it
+    reports ``fixed`` (``claimed``) and falling back to the second tool's
+    output everywhere else (``error``, ``timeout`` and ``crashed`` included).
+    """
+    return len(first & claimed) + len(second - claimed)
+
+
 def compute_hybrid(
     matrices: list[ResultMatrix], techniques: list[str] | None = None
 ) -> HybridAnalysis:
@@ -60,12 +74,16 @@ def compute_hybrid(
     trads = [t for t in TRADITIONAL if t in ran]
     llms = [t for t in SINGLE_ROUND + MULTI_ROUND if t in ran]
     repaired: dict[str, set[str]] = {t: set() for t in trads + llms}
+    claimed: dict[str, set[str]] = {t: set() for t in trads + llms}
     total = 0
     for matrix in matrices:
         total += len(matrix.specs)
         for technique, bucket in repaired.items():
             for spec_id in matrix.repaired_ids(technique):
                 bucket.add(f"{matrix.benchmark}:{spec_id}")
+            for spec_id, row in matrix.outcomes.items():
+                if technique in row and row[technique].status == "fixed":
+                    claimed[technique].add(f"{matrix.benchmark}:{spec_id}")
     cells: dict[tuple[str, str], HybridCell] = {}
     for traditional in trads:
         for llm in llms:
@@ -77,6 +95,10 @@ def compute_hybrid(
                 traditional_repairs=len(trad_set),
                 llm_repairs=len(llm_set),
                 overlap=len(trad_set & llm_set),
+                traditional_first=_cascade(
+                    trad_set, claimed[traditional], llm_set
+                ),
+                llm_first=_cascade(llm_set, claimed[llm], trad_set),
             )
     return HybridAnalysis(cells=cells, total_specs=total)
 
@@ -88,7 +110,8 @@ def render_table2(analysis: HybridAnalysis) -> str:
         f"Total specifications: {analysis.total_specs}",
         "",
         f"{'traditional':<12}{'llm':<22}{'trad':>6}{'llm':>6}"
-        f"{'overlap':>9}{'union':>7}{'paper-union(scaled)':>21}",
+        f"{'overlap':>9}{'union':>7}{'trad→llm':>10}{'llm→trad':>10}"
+        f"{'paper-union(scaled)':>21}",
     ]
     paper_total = 1974
     scale = analysis.total_specs / paper_total
@@ -96,14 +119,19 @@ def render_table2(analysis: HybridAnalysis) -> str:
         paper_row = PAPER_TABLE2.get((traditional, llm))
         paper_union = round(paper_row[3] * scale) if paper_row else 0
         lines.append(
-            f"{traditional:<10}{llm:<24}{cell.traditional_repairs:>6}"
+            f"{traditional:<12}{llm:<22}{cell.traditional_repairs:>6}"
             f"{cell.llm_repairs:>6}{cell.overlap:>9}{cell.union:>7}"
+            f"{cell.traditional_first:>10}{cell.llm_first:>10}"
             f"{paper_union:>21}"
         )
     best = analysis.best()
     lines.append("")
     if best is None:
         return "\n".join(lines + ["no hybrid pairs ran"])
+    lines.append(
+        "A→B: A's output where A itself reports fixed, else B's "
+        "(the union needs the ground truth)"
+    )
     lines.append(
         f"Best hybrid (measured): {best.traditional} + {best.llm} = "
         f"{best.union}/{analysis.total_specs} "
@@ -135,40 +163,3 @@ def render_figure4(analysis: HybridAnalysis) -> str:
             )
         lines.append(f"{llm:<24}" + "".join(f"{c:>22}" for c in cells))
     return "\n".join(lines)
-
-
-def sequential_hybrid(spec, seed: int = 0, feedback_value: str = "Generic"):
-    """The pipeline hybrid the paper's discussion proposes (an extension
-    beyond its set-union analysis): localize with the traditional machinery,
-    then hand the location to the multi-round LLM as a hint.
-
-    Returns the :class:`repro.repair.base.RepairResult` of the hybrid run.
-    """
-    from repro.benchmarks.faults import describe_location
-    from repro.llm.mock_gpt import GPT4_PROFILE, MockGPT
-    from repro.llm.prompts import FeedbackLevel, RepairHints
-    from repro.repair.base import PropertyOracle, RepairTask
-    from repro.repair.localization import Discriminator, localize
-    from repro.repair.multi_round import MultiRoundLLM
-
-    task = RepairTask.from_source(spec.faulty_source)
-    oracle = PropertyOracle(task)
-    evidence = oracle.failing_evidence_by_command(task.module, max_instances=3)
-    discriminators = [
-        Discriminator.from_command_evidence(command, instance)
-        for command, instances in evidence
-        for instance in instances
-    ]
-    locations = localize(task.module, task.info, discriminators, max_locations=3)
-    hints = None
-    if locations:
-        hints = RepairHints(
-            location=describe_location(task.module, locations[0].path)
-        )
-    tool = MultiRoundLLM(
-        MockGPT(seed=seed, profile=GPT4_PROFILE),
-        FeedbackLevel(feedback_value),
-        hints=hints,
-    )
-    tool.name = f"Pipeline-Hybrid_{feedback_value}"
-    return tool.repair(task)

@@ -19,7 +19,6 @@ from repro.repair.localization import (
 )
 from repro.repair.multi_round import MultiRoundConfig, MultiRoundLLM
 from repro.repair.mutation import Mutant, Mutator, higher_order_mutants, mutation_points
-from repro.repair.selector import DynamicSelector, FaultProfile, characterize
 from repro.repair.single_round import SingleRoundLLM
 
 # NOTE: repro.repair.registry is deliberately NOT imported here — it pulls
@@ -35,8 +34,6 @@ __all__ = [
     "BeAFix",
     "BeAFixConfig",
     "Discriminator",
-    "DynamicSelector",
-    "FaultProfile",
     "Icebar",
     "IcebarConfig",
     "Mutant",
@@ -50,7 +47,6 @@ __all__ = [
     "RepairTool",
     "SingleRoundLLM",
     "SuspiciousLocation",
-    "characterize",
     "higher_order_mutants",
     "localize",
     "mutation_points",

@@ -316,11 +316,11 @@ class PropertyOracle:
 
 
 _REPAIR_FRAME = threading.local()
-"""Marks that a repair attempt is already on the stack: ICEBAR and the
-Dynamic selector drive inner tools through ``repair()``, and the chaos
-crash site must fire only at the top level — a nested injection would be
-absorbed by the *outer* tool's isolation instead of escaping to the
-engine's failure capture, which is the contract under test."""
+"""Marks that a repair attempt is already on the stack: ICEBAR drives
+inner tools through ``repair()``, and the chaos crash site must fire only
+at the top level — a nested injection would be absorbed by the *outer*
+tool's isolation instead of escaping to the engine's failure capture,
+which is the contract under test."""
 
 
 class RepairTool:

@@ -15,8 +15,7 @@ without aliasing state.
 
 The study's twelve techniques are registered at import as *standard*
 (included in :func:`all_techniques`, hence in the default matrix).  Extra
-techniques — like the ``"Dynamic"`` portfolio selector from the paper's
-future-work section — register as non-standard: addressable by name in
+techniques register as non-standard: addressable by name in
 ``RunConfig.techniques`` and ``repro repair --technique``, but absent from
 the default matrix so the paper's tables keep their published shape.
 """
@@ -38,7 +37,6 @@ from repro.repair.base import RepairTool
 from repro.repair.beafix import BeAFix
 from repro.repair.icebar import Icebar
 from repro.repair.multi_round import MultiRoundLLM
-from repro.repair.selector import DynamicSelector
 from repro.repair.single_round import SingleRoundLLM
 from repro.testing.generation import generate_suite
 
@@ -173,11 +171,6 @@ def _make_multi_round(feedback: FeedbackLevel) -> TechniqueFactory:
     return factory
 
 
-def _make_dynamic(spec: FaultySpec, seed: int) -> RepairTool:
-    client = RetryingClient(MockGPT(seed=seed, profile=GPT4_PROFILE))
-    return DynamicSelector(client)
-
-
 def _register_builtins() -> None:
     register("ARepair", _make_arepair, standard=True)
     register("ICEBAR", _make_icebar, standard=True)
@@ -195,9 +188,6 @@ def _register_builtins() -> None:
             _make_multi_round(feedback),
             standard=True,
         )
-    # The future-work portfolio: addressable, but not part of the paper's
-    # twelve-column matrix.
-    register("Dynamic", _make_dynamic)
 
 
 _register_builtins()

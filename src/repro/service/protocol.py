@@ -61,13 +61,12 @@ TERMINAL_STATES = frozenset({JobState.DONE, JobState.FAILED})
 
 LLM_TECHNIQUE_PREFIXES = ("Single-Round", "Multi-Round")
 """Technique families whose repair path calls the LLM transport — the set
-the LLM circuit breaker gates.  ``Dynamic`` may escalate to LLM rounds,
-so it is gated too."""
+the LLM circuit breaker gates."""
 
 
 def uses_llm(technique: str) -> bool:
     """Whether a technique's repair path reaches the LLM client."""
-    return technique.startswith(LLM_TECHNIQUE_PREFIXES) or technique == "Dynamic"
+    return technique.startswith(LLM_TECHNIQUE_PREFIXES)
 
 
 @dataclass(frozen=True)

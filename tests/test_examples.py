@@ -1,5 +1,6 @@
 """Smoke tests: every example script runs to completion."""
 
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -40,3 +41,9 @@ class TestExamples:
         result = run_example("benchmark_survey.py")
         assert result.returncode == 0, result.stderr
         assert "per fault class:" in result.stdout
+
+
+def test_every_example_is_run_by_a_test():
+    run = set(re.findall(r'run_example\("([^"]+)"', Path(__file__).read_text()))
+    untested = {path.name for path in EXAMPLES.glob("*.py")} - run
+    assert not untested, f"examples no test runs: {sorted(untested)}"

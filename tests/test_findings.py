@@ -5,15 +5,18 @@ stops holding is a result to report, not a pin to loosen."""
 
 import dataclasses
 import shutil
+import time
 from pathlib import Path
 
 import pytest
 
 from repro.experiments import runner
 from repro.experiments.findings import FINDINGS, HELD, check_findings
+from repro.experiments.hybrid import compute_hybrid
 from repro.experiments.report import generate_report
 
-COMMITTED = Path(__file__).resolve().parents[1] / ".repro_cache"
+ROOT = Path(__file__).resolve().parents[1]
+COMMITTED = ROOT / ".repro_cache"
 NOT_HELD_AT_SEED_0: set[str] = set()
 # The numbers EXPERIMENTS.md quotes in its Finding 1–4 verdicts.
 QUOTED = {
@@ -78,3 +81,25 @@ def test_a_subset_run_evaluates_nothing_it_did_not_run(matrices):
     assert "0 held, 0 not held, 22 not evaluated" in text
     checks = check_findings(*matrices, ["ATR", "BeAFix"])
     assert all(c.compared.startswith("did not run: ") for c in checks)
+
+
+def test_the_committed_report_is_what_the_committed_matrices_render(matrices):
+    def body(text):
+        return [line for line in text.splitlines()
+                if not line.startswith("report generated in")]
+
+    text = generate_report(*matrices, None, started=time.time()).text
+    assert body(text) == body((ROOT / "EXPERIMENTS-report.txt").read_text())
+
+
+def test_gated_cascades_on_the_committed_matrices(matrices):
+    cells = compute_hybrid(list(matrices)).cells
+    assert len(cells) == 32
+    assert all(cell.llm_first == cell.union for cell in cells.values())
+    auto = cells[("ARepair", "Multi-Round_Auto")]
+    assert (auto.traditional_first, auto.llm_first, auto.union) == (25, 97, 97)
+    short = {(t, llm): (cell.traditional_first, cell.union)
+             for (t, llm), cell in cells.items()
+             if t != "ARepair" and cell.traditional_first != cell.union}
+    assert short == {("ICEBAR", "Single-Round_Pass"): (75, 76),
+                     ("ICEBAR", "Single-Round_None"): (63, 64)}

@@ -11,7 +11,6 @@ from repro.repair.atr import Atr
 from repro.repair.beafix import BeAFix
 from repro.repair.icebar import Icebar
 from repro.repair.multi_round import MultiRoundLLM
-from repro.repair.selector import DynamicSelector
 from repro.repair.single_round import SingleRoundLLM
 
 from .conftest import LINKED_LIST_SPEC
@@ -39,11 +38,6 @@ class TestBuiltins:
             registry.TRADITIONAL + registry.SINGLE_ROUND + registry.MULTI_ROUND
         )
 
-    def test_dynamic_is_addressable_but_not_standard(self):
-        assert registry.is_registered("Dynamic")
-        assert "Dynamic" in registry.names()
-        assert "Dynamic" not in registry.all_techniques()
-
     @pytest.mark.parametrize(
         ("name", "expected_type"),
         [
@@ -53,7 +47,6 @@ class TestBuiltins:
             ("ATR", Atr),
             ("Single-Round_Loc", SingleRoundLLM),
             ("Multi-Round_Auto", MultiRoundLLM),
-            ("Dynamic", DynamicSelector),
         ],
     )
     def test_create_builds_the_right_tool(self, name, expected_type):

@@ -130,7 +130,6 @@ class TestProtocol:
         [
             ("Single-Round_Pass", True),
             ("Multi-Round_Generic", True),
-            ("Dynamic", True),
             ("ATR", False),
             ("BeAFix", False),
         ],
