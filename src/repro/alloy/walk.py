@@ -148,11 +148,6 @@ def insert_at(root: Node, path: Path, index: int, new_node: Node, field_name: st
     return new_root
 
 
-def count_nodes(root: Node) -> int:
-    """Total number of nodes in the tree rooted at ``root``."""
-    return sum(1 for _ in root.walk())
-
-
 def find_paths(root: Node, predicate: Callable[[Node], bool]) -> list[Path]:
     """All paths whose node satisfies ``predicate``, pre-order."""
     return [path for path, node in iter_paths(root) if predicate(node)]

@@ -324,7 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="engine",
         help="drill the live service daemon instead of the batch engine: "
         "availability under every site a job crosses, backpressure, "
-        "circuit breakers, drain/resume, lease edge cases, and a kill -9 "
+        "an LLM outage tripping the circuit breaker, and a kill -9 "
         "failover of a two-replica fleet (report defaults to "
         "service-chaos-report.json)",
     )

@@ -34,18 +34,19 @@ class ProgressListener(Protocol):
         """One (specification, technique) cell finished."""
 
     def on_shard_done(
-        self, benchmark: str, spec_id: str, shards_done: int, total_shards: int
+        self,
+        benchmark: str,
+        spec_id: str,
+        shards_done: int,
+        total_shards: int,
+        elapsed: float,
+        cells: int,
     ) -> None:
-        """One specification's shard (all its pending cells) finished."""
+        """One specification's shard finished: its ``cells`` pending cells
+        took ``elapsed`` seconds."""
 
     def on_failure(self, benchmark: str, failure: FailureRecord) -> None:
         """One cell was crash-isolated into a failure record."""
-
-    def on_metrics(self, benchmark: str, summary: dict) -> None:
-        """Per-shard timing/telemetry summary (optional; the engine invokes
-        it defensively, so listeners written before this event existed —
-        or that simply don't care — need not implement it).  ``summary``
-        carries ``spec_id``, ``elapsed`` (seconds), and ``cells``."""
 
 
 class NullListener:
@@ -54,13 +55,12 @@ class NullListener:
     def on_cell(self, benchmark, outcome, done, total) -> None:
         pass
 
-    def on_shard_done(self, benchmark, spec_id, shards_done, total_shards) -> None:
+    def on_shard_done(
+        self, benchmark, spec_id, shards_done, total_shards, elapsed, cells
+    ) -> None:
         pass
 
     def on_failure(self, benchmark, failure) -> None:
-        pass
-
-    def on_metrics(self, benchmark, summary) -> None:
         pass
 
 
@@ -91,7 +91,9 @@ class ConsoleListener:
             if done % self._every == 0:
                 print(f"  [{benchmark}] {done}/{total} outcomes", flush=True)
 
-    def on_shard_done(self, benchmark, spec_id, shards_done, total_shards) -> None:
+    def on_shard_done(
+        self, benchmark, spec_id, shards_done, total_shards, elapsed, cells
+    ) -> None:
         with self._lock:
             failures = self._failures.get(benchmark, [])
             if shards_done == total_shards and failures:
@@ -100,16 +102,13 @@ class ConsoleListener:
                     f"{summarize_failures(failures)}",
                     flush=True,
                 )
+            if self._verbose:
+                print(
+                    f"  [{benchmark}] shard {spec_id}: "
+                    f"{cells} cells in {elapsed:.2f}s",
+                    flush=True,
+                )
 
     def on_failure(self, benchmark, failure) -> None:
         with self._lock:
             self._failures.setdefault(benchmark, []).append(failure)
-
-    def on_metrics(self, benchmark, summary) -> None:
-        with self._lock:
-            if self._verbose:
-                print(
-                    f"  [{benchmark}] shard {summary['spec_id']}: "
-                    f"{summary['cells']} cells in {summary['elapsed']:.2f}s",
-                    flush=True,
-                )

@@ -370,20 +370,13 @@ def _run(config: RunConfig) -> ResultMatrix:
                 listener.on_cell(config.benchmark, outcome, done, total)
             shards_done += 1
             listener.on_shard_done(
-                config.benchmark, result.spec_id, shards_done, len(shards)
+                config.benchmark,
+                result.spec_id,
+                shards_done,
+                len(shards),
+                result.elapsed,
+                len(result.outcomes),
             )
-            # Defensive dispatch: on_metrics post-dates the listener
-            # protocol, and third-party listeners may not implement it.
-            on_metrics = getattr(listener, "on_metrics", None)
-            if on_metrics is not None:
-                on_metrics(
-                    config.benchmark,
-                    {
-                        "spec_id": result.spec_id,
-                        "elapsed": result.elapsed,
-                        "cells": len(result.outcomes),
-                    },
-                )
             if run_metrics is not None:
                 run_spans.extend(
                     Span.from_json(payload) for payload in result.spans

@@ -25,6 +25,16 @@ from repro.runtime.errors import TransientError
 T = TypeVar("T")
 
 
+def jitter_factor(key: str) -> float:
+    """Seeded jitter: a factor in [0.5, 1.0) drawn from ``sha256(key)``.
+
+    A pure function of ``key``, so every jittered schedule reproduces;
+    callers fold their seed and step number into the key."""
+    digest = hashlib.sha256(key.encode()).digest()
+    unit = int.from_bytes(digest[:8], "big") / 2**64  # [0, 1)
+    return 0.5 + 0.5 * unit
+
+
 @dataclass(frozen=True)
 class RetryPolicy:
     """How many attempts to make and how long to wait between them."""
@@ -45,20 +55,13 @@ class RetryPolicy:
         if self.attempts < 1:
             raise ValueError("attempts must be at least 1")
 
-    def _jitter_factor(self, attempt: int) -> float:
-        digest = hashlib.sha256(
-            f"{self.jitter_seed}:{attempt}".encode()
-        ).digest()
-        unit = int.from_bytes(digest[:8], "big") / 2**64  # [0, 1)
-        return 0.5 + 0.5 * unit
-
     def delay_for(self, attempt: int) -> float:
         """Backoff before retry number ``attempt`` (1-based)."""
         delay = min(
             self.base_delay * self.multiplier ** (attempt - 1), self.max_delay
         )
         if self.jitter_seed is not None:
-            delay *= self._jitter_factor(attempt)
+            delay *= jitter_factor(f"{self.jitter_seed}:{attempt}")
         return delay
 
     def schedule(self) -> list[float]:

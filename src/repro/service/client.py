@@ -8,8 +8,7 @@ is what the load generator drives at fleet scale.
 
 Replication makes transport failure routine rather than fatal, so the
 client carries two recovery behaviours (both deterministic under
-``retry_seed``, following the :class:`~repro.runtime.retry.RetryPolicy`
-jitter contract):
+``retry_seed``, jittered by :func:`~repro.runtime.retry.jitter_factor`):
 
 - **failover** — constructed with several socket paths, it rotates to the
   next live replica whenever connecting to the current one fails;
@@ -21,12 +20,12 @@ jitter contract):
 
 from __future__ import annotations
 
-import hashlib
 import socket
 import time
 from dataclasses import dataclass, field
 from typing import Iterable
 
+from repro.runtime.retry import jitter_factor
 from repro.service.protocol import (
     TERMINAL_STATES,
     JobSpec,
@@ -110,13 +109,11 @@ class ServiceClient:
 
     def _backoff(self, attempt: int) -> float:
         """Seeded exponential backoff: base doubling capped at 1s, scaled
-        by a deterministic factor in [0.5, 1.0) — same contract as
-        :class:`repro.runtime.retry.RetryPolicy` with ``jitter_seed``."""
-        digest = hashlib.sha256(
-            f"{self.retry_seed}:{attempt}".encode()
-        ).digest()
-        unit = int.from_bytes(digest[:8], "big") / 2**64
-        return min(1.0, 0.05 * (2 ** min(attempt, 5))) * (0.5 + 0.5 * unit)
+        by :func:`~repro.runtime.retry.jitter_factor` of
+        ``retry_seed:attempt``."""
+        return min(1.0, 0.05 * (2 ** min(attempt, 5))) * jitter_factor(
+            f"{self.retry_seed}:{attempt}"
+        )
 
     def _connect(self) -> socket.socket:
         """Connect to the active replica, failing over across the ring;

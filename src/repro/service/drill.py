@@ -21,16 +21,7 @@ fleet, in this order:
 - **service-breaker** — an LLM backend failing past the retry budget
   trips the LLM breaker after the configured window; further LLM jobs
   fast-fail with ``breaker_open:llm`` while traditional repair continues
-  unaffected; a fake-clock breaker walks open → half-open → closed;
-- **service-drain-resume** — a drained daemon journals ``drained`` for
-  every pending job; a restarted daemon replays the ledger, adopts all of
-  them under their ids before it listens, and produces bit-identical
-  outcomes to a direct execution; a third incarnation serves the same
-  jobs straight from the cells the ledger holds;
-- **cluster-lease** — fake-clock edge cases of the ledger-kept leases:
-  boundary-inclusive expiry, exactly-one-winner adoption of an orphan,
-  stale-writer rejection at the result store, torn-tail tolerance of the
-  job ledger, and ledger-folded quotas that survive a replica restart;
+  unaffected;
 - **cluster-failover** — two ``repro serve`` subprocess replicas share a
   cluster directory; the whole corpus is submitted under the full fault
   plan, then a seeded victim replica is ``kill -9``'d the moment it has
@@ -38,6 +29,13 @@ fleet, in this order:
   re-executes every orphan), zero double-committed cells, a strictly
   monotonic fencing-token trail, and every committed cell bit-identical
   to an uninterrupted direct engine execution under the same plan.
+
+Contracts that hold without an injected fault are pinned by tier-1 tests
+alone: drain and adoption by ``TestDrainResume`` in
+``tests/test_service.py``, the breaker's half-open recovery by
+``TestCircuitBreaker`` there, and the lease, fencing, ledger and quota
+edge cases by ``tests/test_cluster.py``.  service-backpressure stays: no
+tier-1 test drives the admission gates over a socket.
 
 service-availability and cluster-failover check against one reference:
 the direct engine execution of the whole corpus under the same plan,
@@ -74,20 +72,14 @@ from repro.chaos.harness import (
 )
 from repro.chaos.plan import FaultPlan, SiteConfig
 from repro.experiments.executor import ShardTask, execute_shard
-from repro.service.breaker import BreakerConfig, CircuitBreaker
+from repro.service.breaker import BreakerConfig
 from repro.service.client import ServiceClient
 from repro.service.daemon import ServiceConfig, ServiceHandle
-from repro.service.ledger import (
-    ClusterFold,
-    ClusterStore,
-    DuplicateCommitError,
-    JobLedger,
-    StaleWriterError,
-)
-from repro.service.loadgen import plan_jobs, run_load
+from repro.service.ledger import ClusterFold, JobLedger
+from repro.service.loadgen import run_load
 from repro.service.protocol import JobSpec, ServiceError
 
-SERVICE_CHAOS_SCHEMA = "repro-service-chaos/2"
+SERVICE_CHAOS_SCHEMA = "repro-service-chaos/3"
 """Stamped into every service chaos report; bump on any shape change."""
 
 AVAILABILITY_SITES: dict[str, SiteConfig] = {
@@ -141,49 +133,35 @@ def _cells_payload(outcomes: dict[str, dict]) -> dict:
     }
 
 
-def _reference_execution(
-    spec_ids: list[str],
-    scale: float,
-    techniques: tuple[str, ...],
-    seed: int,
-    plan: FaultPlan | None,
-) -> tuple[dict, list[dict]]:
-    """Run every job directly through the engine, with no deadline — the
-    ground truth the service's results must match bit-for-bit."""
-    specs = {
-        spec.spec_id: spec
-        for spec in load_benchmark("arepair", seed=seed, scale=scale)
-    }
-    payload: dict[str, dict] = {}
-    events: list[dict] = []
-    for spec_id in spec_ids:
-        result = execute_shard(
-            ShardTask(
-                spec=specs[spec_id],
-                techniques=techniques,
-                seed=seed,
-                chaos=plan,
-            )
-        )
-        events.extend(result.chaos_events)
-        payload[spec_id] = outcome_row(result.outcomes)
-    return payload, events
-
-
 def _corpus_reference(seed: int, scale: float) -> Reference:
     """The reference service-availability and cluster-failover share:
     the :data:`AVAILABILITY_TECHNIQUES` cells of some specs under a plan,
-    run directly through the engine in a fresh cache the first time they
-    are asked for, then kept for the suite run."""
+    run directly through the engine, with no deadline, in a fresh cache
+    the first time they are asked for, then kept for the suite run."""
 
     @functools.cache
     def reference(
         spec_ids: tuple[str, ...], plan: FaultPlan | None
     ) -> tuple[dict, list[dict]]:
+        payload: dict[str, dict] = {}
+        events: list[dict] = []
         with _temp_cache():
-            return _reference_execution(
-                list(spec_ids), scale, AVAILABILITY_TECHNIQUES, seed, plan
-            )
+            specs = {
+                spec.spec_id: spec
+                for spec in load_benchmark("arepair", seed=seed, scale=scale)
+            }
+            for spec_id in spec_ids:
+                result = execute_shard(
+                    ShardTask(
+                        spec=specs[spec_id],
+                        techniques=AVAILABILITY_TECHNIQUES,
+                        seed=seed,
+                        chaos=plan,
+                    )
+                )
+                events.extend(result.chaos_events)
+                payload[spec_id] = outcome_row(result.outcomes)
+        return payload, events
 
     return reference
 
@@ -547,189 +525,7 @@ def breaker_drill(seed: int, requested: set[str], scale: float) -> DrillResult:
         finally:
             handle.drain()
 
-    # Recovery half, deterministic via a fake clock: open → half-open
-    # probe → closed.
-    now = [0.0]
-    breaker = CircuitBreaker(
-        "drill", BreakerConfig(window=4, min_calls=2, cooldown=10.0),
-        clock=lambda: now[0],
-    )
-    breaker.record_failure("llm.transient")
-    breaker.record_failure("llm.transient")
-    if breaker.state != "open" or breaker.allow():
-        drill.violations.append("fake-clock breaker failed to trip open")
-    now[0] = 10.0
-    if breaker.state != "half-open" or not breaker.allow():
-        drill.violations.append(
-            "breaker did not admit a probe after the cooldown"
-        )
-    breaker.record_success()
-    if breaker.state != "closed":
-        drill.violations.append("successful probe did not close the breaker")
-    drill.detail = {
-        "trip_after_failures": 2,
-        "recovered_via_probe": breaker.state == "closed",
-    }
-    return drill
-
-
-def drain_resume_drill(seed: int, scale: float) -> DrillResult:
-    """Journal on drain; adopt by ledger replay, bit-identical; then serve
-    from the cells the ledger holds."""
-    drill = DrillResult(name="service-drain-resume")
-    techniques = ("ATR", "Single-Round_Pass")
-    with _temp_cache(), _socket_dir() as sock_dir:
-        config = ServiceConfig(
-            socket=str(Path(sock_dir) / "drill.sock"),
-            benchmark="arepair",
-            scale=scale,
-            seed=seed,
-            workers=2,
-            job_timeout=None,
-        )
-        cluster_dir = config.resolved_cluster_dir()
-
-        def replay() -> ClusterFold:
-            fold = ClusterFold()
-            ledger = JobLedger(
-                cluster_dir / "ledger.jsonl", cluster_dir / ".cluster.lock"
-            )
-            for record in ledger.replay():
-                fold.apply(record)
-            return fold
-
-        # Phase A: admit jobs into a paused pool, drain — every job must
-        # be journaled as drained, none executed.
-        handle = ServiceHandle.start(config)
-        service_a = handle.service
-        spec_ids = sorted(service_a.jobs_corpus_ids())[:6]
-        jobs = [
-            JobSpec(
-                benchmark="arepair",
-                spec_id=spec_id,
-                techniques=techniques,
-                seed=seed,
-            )
-            for spec_id in spec_ids
-        ]
-        client = ServiceClient(handle.socket)
-        service_a.pool.pause()
-        job_ids = []
-        for job in jobs:
-            outcome = client.submit(job, watch=False)
-            if not outcome.accepted:
-                drill.violations.append(
-                    f"phase A rejected {job.spec_id}: {outcome.rejections}"
-                )
-            else:
-                job_ids.append(outcome.job_id)
-        handle.drain(grace=0.0)
-        drained = sorted(
-            view.job_id
-            for view in replay().jobs.values()
-            if view.state == "drained"
-        )
-        if drained != sorted(job_ids):
-            drill.violations.append(
-                f"drain journaled {len(drained)} of {len(job_ids)} jobs"
-            )
-            return drill
-
-        # Phase B: a fresh daemon adopts every drained job before it
-        # listens and runs them to completion.
-        handle_b = ServiceHandle.start(config)
-        service_b = handle_b.service
-        try:
-            if service_b.adopted_jobs != len(jobs):
-                drill.violations.append(
-                    f"adopted {service_b.adopted_jobs} of {len(jobs)} "
-                    "drained jobs at startup"
-                )
-            deadline = time.monotonic() + 120.0
-            while time.monotonic() < deadline:
-                if len(service_b.jobs) == len(jobs) and all(
-                    record.terminal for record in service_b.jobs.values()
-                ):
-                    break
-                time.sleep(0.05)
-            resumed_payload = {
-                record.spec.spec_id: _cells_payload(record.outcomes)
-                for record in service_b.jobs.values()
-            }
-            resumed_states = sorted(
-                record.state.value for record in service_b.jobs.values()
-            )
-            if resumed_states != ["done"] * len(jobs):
-                drill.violations.append(
-                    f"adopted jobs did not all complete: {resumed_states}"
-                )
-            if sorted(service_b.jobs) != sorted(job_ids):
-                drill.violations.append(
-                    "adopted job ids diverge from the drained ones"
-                )
-        finally:
-            handle_b.drain()
-        if replay().non_terminal():
-            drill.violations.append(
-                "clean drain left non-terminal jobs in the ledger"
-            )
-
-        # Ground truth: the same cells straight through the engine.
-        reference_payload, _ = _reference_execution(
-            spec_ids, scale, techniques, seed, None
-        )
-        if resumed_payload != reference_payload:
-            drill.violations.append(
-                "adopted outcomes diverge from direct execution"
-            )
-
-        # Phase C: a third incarnation serves the identical jobs from the
-        # ledger's stored cells without executing anything.
-        handle_c = ServiceHandle.start(config)
-        service_c = handle_c.service
-        try:
-            if service_c.adopted_jobs != 0:
-                drill.violations.append(
-                    "third daemon adopted jobs from a supposedly clean ledger"
-                )
-            client_c = ServiceClient(handle_c.socket)
-            store_hits = 0
-            for job in jobs:
-                outcome = client_c.submit(job, watch=True)
-                if not outcome.accepted or outcome.state != "done":
-                    drill.violations.append(
-                        f"store-phase job {job.spec_id} did not complete"
-                    )
-                    continue
-                if outcome.from_store:
-                    store_hits += 1
-                if _cells_payload(outcome.outcomes) != reference_payload.get(
-                    job.spec_id
-                ):
-                    drill.violations.append(
-                        f"store-served outcomes diverge for {job.spec_id}"
-                    )
-            if store_hits != len(jobs):
-                drill.violations.append(
-                    f"only {store_hits} of {len(jobs)} jobs were served "
-                    "from the store"
-                )
-            if service_c.pool.executed != 0:
-                drill.violations.append(
-                    f"store phase executed {service_c.pool.executed} job(s)"
-                )
-        finally:
-            handle_c.drain()
-    drill.detail = {
-        "jobs": len(jobs),
-        "drained": len(jobs),
-        "adopted": len(jobs),
-        "store_served": len(jobs),
-        "payload": {
-            spec_id: reference_payload[spec_id]
-            for spec_id in sorted(reference_payload)
-        },
-    }
+    drill.detail = {"trip_after_failures": 2}
     return drill
 
 
@@ -738,154 +534,6 @@ CLUSTER_REPLICAS = ("r0", "r1")
 
 CLUSTER_LEASE_TTL = 1.0
 """Short enough that failover completes in a couple of seconds."""
-
-
-def cluster_lease_drill(seed: int) -> DrillResult:
-    """Fake-clock edge cases of the lease, ledger, and quota layers —
-    every scenario fully deterministic, no processes, no sleeps."""
-    drill = DrillResult(name="cluster-lease")
-    now = [float(seed % 1000)]
-    clock = lambda: now[0]  # noqa: E731 - the whole drill shares one clock
-    with tempfile.TemporaryDirectory(prefix="repro-lease-") as tmp:
-        root = Path(tmp)
-
-        # Boundary-inclusive expiry: alive strictly before ``expires_at``,
-        # expired the exact instant ``now == expires_at``.
-        recipe = {"drill": "cluster-lease", "seed": seed}
-        owner = ClusterStore(root / "l", "r1", recipe, ttl=5.0, clock=clock)
-        peer = ClusterStore(root / "l", "r2", recipe, ttl=5.0, clock=clock)
-        token = owner.register("job-a", {"spec_id": "A"})
-        expires_at = owner.fold().jobs["job-a"].expires_at
-        now[0] = expires_at - 1e-6
-        if peer.adopt_orphans():
-            drill.violations.append("lease expired before its boundary")
-
-        # Adoption race: at the boundary two would-be adopters contend
-        # and exactly one wins; the loser folds the winner's fresh lease
-        # and adopts nothing instead of double-owning.
-        now[0] = expires_at
-        winners = [
-            adopted
-            for store in (peer, owner)
-            for _, _, adopted in store.adopt_orphans()
-        ]
-        if not winners:
-            drill.violations.append(
-                "lease not expired exactly at expires_at (must be "
-                "boundary-inclusive)"
-            )
-        elif len(winners) != 1:
-            drill.violations.append(
-                f"{len(winners)} adopters won the same orphan (want 1)"
-            )
-        elif winners[0] <= token:
-            drill.violations.append(
-                "adoption did not advance the fencing token: "
-                f"{winners[0]} <= {token}"
-            )
-
-        # Stale-writer fencing at the result store: the original owner's
-        # commit (token t1) must be rejected after adoption (token t2),
-        # storing nothing; the adopter's commit lands.
-        cs1 = ClusterStore(root / "c", "r1", recipe, ttl=5.0, clock=clock)
-        cs2 = ClusterStore(root / "c", "r2", recipe, ttl=5.0, clock=clock)
-        stale = cs1.register("job-1", {"spec_id": "S1"})
-        cs1.mark_running("job-1", stale)
-        now[0] += 5.0
-        adopted = cs2.adopt_orphans()
-        if [job_id for job_id, _, _ in adopted] != ["job-1"]:
-            drill.violations.append(
-                f"expected to adopt exactly job-1, got {adopted}"
-            )
-        cell = {"rep": 1, "tm": 0.25, "sm": 0.5, "status": "correct"}
-        try:
-            cs1.commit("job-1", "S1", {"ATR": dict(cell)}, stale, seed=seed)
-            drill.violations.append("stale writer's commit was accepted")
-        except StaleWriterError:
-            pass
-        if cs1.lookup("S1", seed):
-            drill.violations.append(
-                "fenced commit leaked cells into the shared store"
-            )
-        if adopted:
-            cs2.commit(
-                "job-1", "S1", {"ATR": dict(cell)}, adopted[0][2], seed=seed
-            )
-        if cs1.lookup("S1", seed).get("ATR") != cell:
-            drill.violations.append(
-                "the adopter's committed cell is missing from the store"
-            )
-        try:
-            cs2.commit("job-1", "S1", {"ATR": dict(cell)}, 10**9)
-            drill.violations.append("double commit was accepted")
-        except DuplicateCommitError:
-            pass
-
-        # Torn tail: garbage appended by a dying replica is one skippable
-        # line; the next append's leading newline seals it off.
-        ledger_path = cs1.ledger.path
-        with ledger_path.open("ab") as handle:
-            handle.write(b'{"event":"done","job_id":"job-torn"')
-        cs1.journal("running", "job-1", token=0)
-        reader = JobLedger(ledger_path, cs1.ledger.lock_path)
-        records = reader.replay()
-        if reader.corrupt_lines != 1:
-            drill.violations.append(
-                f"torn tail produced {reader.corrupt_lines} corrupt "
-                "line(s), want exactly 1"
-            )
-        if "job-torn" in {r.get("job_id") for r in records}:
-            drill.violations.append("a torn record was treated as real")
-        fold = ClusterFold()
-        for record in records:
-            fold.apply(record)
-        if fold.double_committed():
-            drill.violations.append(
-                f"double-committed jobs: {fold.double_committed()}"
-            )
-        if not fold.tokens_monotonic():
-            drill.violations.append(
-                f"fencing tokens not strictly monotonic: {fold.tokens}"
-            )
-        if fold.fenced_commits != 1:
-            drill.violations.append(
-                f"{fold.fenced_commits} fenced audit record(s), want 1"
-            )
-
-        # Quota durability: a debit journaled by one replica is seen by a
-        # reborn one through the ledger fold, and a torn debit is skipped.
-        quotas = ClusterStore(
-            root / "q", "r1", recipe, clock=clock,
-            bucket_capacity=2.0, bucket_refill=0.0,
-        )
-        if quotas.debit("t1", 1.5) != 0.0:
-            drill.violations.append("first debit within capacity refused")
-        reborn = ClusterStore(
-            root / "q", "r2", recipe, clock=clock,
-            bucket_capacity=2.0, bucket_refill=0.0,
-        )
-        if reborn.balance("t1") != 0.5:
-            drill.violations.append(
-                "tenant balance did not survive a replica restart: "
-                f"{reborn.balance('t1')}"
-            )
-        if reborn.debit("t1", 1.0) <= 0.0:
-            drill.violations.append("over-capacity debit was not refused")
-        with reborn.ledger.path.open("ab") as handle:
-            handle.write(b'{"event":"debit","tenant":"t2","co')
-        reborn.journal("running", "job-q", token=0)
-        if reborn.balance("t2") != 2.0:
-            drill.violations.append(
-                "a torn debit was charged to the tenant's bucket"
-            )
-    drill.detail = {
-        "boundary_inclusive": True,
-        "adoption_winners": 1,
-        "fenced_commits": 1,
-        "torn_lines_tolerated": 1,
-        "quota_durable": True,
-    }
-    return drill
 
 
 def _spawn_replica(
@@ -1199,8 +847,6 @@ def run_service_drills(
             ),
             lambda requested: backpressure_drill(seed, scale),
             lambda requested: breaker_drill(seed, requested, scale),
-            lambda requested: drain_resume_drill(seed, scale),
-            lambda requested: cluster_lease_drill(seed),
             lambda requested: cluster_failover_drill(
                 seed, requested, scale, reference
             ),

@@ -73,6 +73,7 @@ from typing import Callable, Iterator
 
 from repro import obs
 from repro.runtime.errors import CacheCorruptionError
+from repro.runtime.retry import jitter_factor
 from repro.service.admission import TokenBucket
 from repro.service.protocol import ServiceError, canonical_json
 
@@ -609,14 +610,11 @@ class ClusterStore:
 
     def heartbeat_delay(self, beat: int) -> float:
         """Delay before heartbeat number ``beat``: a third of the TTL
-        scaled by a deterministic factor in [0.5, 1.0) drawn from
-        ``sha256(seed:replica:beat)`` — seeded jitter, same contract as
-        :class:`repro.runtime.retry.RetryPolicy.jitter_seed`."""
-        digest = hashlib.sha256(
-            f"{self.jitter_seed}:{self.replica}:{beat}".encode()
-        ).digest()
-        unit = int.from_bytes(digest[:8], "big") / 2**64
-        return self.ttl / 3.0 * (0.5 + 0.5 * unit)
+        scaled by :func:`~repro.runtime.retry.jitter_factor` of
+        ``seed:replica:beat``."""
+        return self.ttl / 3.0 * jitter_factor(
+            f"{self.jitter_seed}:{self.replica}:{beat}"
+        )
 
     # -- lifecycle transitions ------------------------------------------------
 

@@ -3,7 +3,8 @@
 The contract under test mirrors the incremental session's: replaying a
 cached verdict for a canonically-equal candidate must never change any
 outcome — verdicts and matrix payloads are identical to a reference arm
-that solves every candidate.  That arm is set up here by patching
+that solves every candidate, and verdicts agree with it on thread and
+process workers too.  That arm is set up here by patching
 ``repro.repair.base.canonical_key`` to return ``None``, the oracle's "no
 usable key" answer.
 

@@ -1,6 +1,6 @@
 """The chaos invariant checker: report shape, determinism, cheap drills.
 
-The expensive drills (matrix-equivalence, resume, shard-timeout) are
+The expensive drills (matrix-equivalence, shard-timeout) are
 exercised end-to-end by ``repro chaos`` in CI; here we pin the harness
 machinery itself — payload projection, site routing, report canonical
 form, and the suite scaffold the engine and daemon suites share — plus
@@ -135,7 +135,6 @@ class TestSuiteScaffold:
             raise AssertionError("a cluster drill ran before the site check")
 
         monkeypatch.setattr(service_drill.ServiceHandle, "start", refuse)
-        monkeypatch.setattr(service_drill, "cluster_lease_drill", refuse)
         monkeypatch.setattr(service_drill, "_spawn_replica", refuse)
         with pytest.raises(ValueError, match="unknown injection site"):
             run_service_drills(sites=["made.up"])
@@ -149,7 +148,6 @@ class TestSuiteScaffold:
             "equivalence_drill",
             "persist_drill",
             "retry_drill",
-            "resume_drill",
             "timeout_drill",
         ):
             monkeypatch.setattr(harness, name, stub(name))
@@ -157,8 +155,6 @@ class TestSuiteScaffold:
             "availability_drill",
             "backpressure_drill",
             "breaker_drill",
-            "drain_resume_drill",
-            "cluster_lease_drill",
             "cluster_failover_drill",
         ]
         for name in service_drills:
@@ -202,8 +198,8 @@ class TestSuiteScaffold:
     def test_suites_have_distinct_schemas_and_files(self):
         suites = (ENGINE_SUITE, SERVICE_SUITE)
         assert [s.schema for s in suites] == [
-            "repro-chaos/1",
-            "repro-service-chaos/2",
+            "repro-chaos/2",
+            "repro-service-chaos/3",
         ]
         assert [s.report_file for s in suites] == [
             "chaos-report.json",

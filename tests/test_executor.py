@@ -206,6 +206,7 @@ class TestResumeFromShardCache:
 
         real_run_spec = runner_module.run_spec
         config = dict(benchmark="arepair", scale=0.1, techniques=("ATR",))
+        clean = run_matrix(RunConfig(**config, use_cache=False))
         completed_before_kill = 5
         calls = {"n": 0}
 
@@ -235,6 +236,17 @@ class TestResumeFromShardCache:
         assert recomputed["n"] == len(matrix.specs) - completed_before_kill
         assert set(matrix.outcomes) == {s.spec_id for s in matrix.specs}
 
+        # ...and converges to the clean uncached run, cell for cell.
+        def cells(result):
+            return {
+                spec_id: {
+                    t: (o.rep, o.tm, o.sm, o.status) for t, o in row.items()
+                }
+                for spec_id, row in result.outcomes.items()
+            }
+
+        assert cells(matrix) == cells(clean)
+
 
 class ResumeProbe:
     @staticmethod
@@ -255,7 +267,9 @@ class TestProgressListener:
         def on_cell(self, benchmark, outcome, done, total):
             self.cells.append((benchmark, outcome.technique, done, total))
 
-        def on_shard_done(self, benchmark, spec_id, shards_done, total_shards):
+        def on_shard_done(
+            self, benchmark, spec_id, shards_done, total_shards, elapsed, cells
+        ):
             self.shards.append((spec_id, shards_done, total_shards))
 
         def on_failure(self, benchmark, failure):

@@ -420,7 +420,7 @@ class TestTracedRuns:
 
 
 class TestOnMetricsListener:
-    """Satellite: the optional per-shard ``on_metrics`` progress event."""
+    """The per-shard timing the ``on_shard_done`` event carries."""
 
     class Recorder:
         def __init__(self):
@@ -429,14 +429,13 @@ class TestOnMetricsListener:
         def on_cell(self, benchmark, outcome, done, total):
             pass
 
-        def on_shard_done(self, benchmark, spec_id, done, total):
-            pass
+        def on_shard_done(
+            self, benchmark, spec_id, done, total, elapsed, cells
+        ):
+            self.summaries.append({"elapsed": elapsed, "cells": cells})
 
         def on_failure(self, benchmark, failure):
             pass
-
-        def on_metrics(self, benchmark, summary):
-            self.summaries.append(summary)
 
     def test_listener_receives_per_shard_summaries(self):
         recorder = self.Recorder()
@@ -458,9 +457,7 @@ class TestOnMetricsListener:
         from repro.experiments.progress import ConsoleListener
 
         listener = ConsoleListener(verbose=True)
-        listener.on_metrics(
-            "arepair", {"spec_id": "s1", "elapsed": 0.5, "cells": 13}
-        )
+        listener.on_shard_done("arepair", "s1", 1, 2, 0.5, 13)
         out = capsys.readouterr().out
         assert "s1" in out and "13 cells" in out
 
@@ -468,9 +465,7 @@ class TestOnMetricsListener:
         from repro.experiments.progress import ConsoleListener
 
         listener = ConsoleListener(verbose=False)
-        listener.on_metrics(
-            "arepair", {"spec_id": "s1", "elapsed": 0.5, "cells": 13}
-        )
+        listener.on_shard_done("arepair", "s1", 1, 2, 0.5, 13)
         assert capsys.readouterr().out == ""
 
 

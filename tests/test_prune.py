@@ -1,4 +1,11 @@
-"""Static candidate pruning: the filter and the mutator wiring."""
+"""Static candidate pruning: the filter and the mutator wiring.
+
+The contract: pruning vetoes only statically *infeasible* candidates (the
+A5xx cardinality family).  Heuristic dead-code findings must never veto,
+or pruning could discard the very fix the unpruned search selects.  A
+smoke run may legitimately prune nothing, so the contract is pinned here
+at unit level rather than by a non-zero pruned total in a profile.
+"""
 
 from repro import obs
 from repro.alloy.parser import parse_module

@@ -131,7 +131,9 @@ class TestGracefulInterrupt:
         def on_cell(self, benchmark, outcome, done, total):
             pass
 
-        def on_shard_done(self, benchmark, spec_id, shards_done, total_shards):
+        def on_shard_done(
+            self, benchmark, spec_id, shards_done, total_shards, elapsed, cells
+        ):
             raise KeyboardInterrupt
 
         def on_failure(self, benchmark, failure):

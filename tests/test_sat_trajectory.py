@@ -3,6 +3,8 @@
 Speed-ups of CNF emission, unit propagation or AST copying must not change
 a single clause, decision or verdict: every instance, counterexample, chaos
 fault point and matrix cell downstream depends on the exact search.  The
+pinned trajectory holds clause digests, per-solve counters, the first
+instances of every corpus command and one OracleSession stream.  The
 fixture was recorded by ``tests/make_sat_trajectory.py`` (see its docstring
 for what each field pins and how to regenerate it).
 """

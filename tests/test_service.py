@@ -521,6 +521,10 @@ class TestDrainResume:
     incarnation, keep their ids, and produce results bit-identical to a
     direct run."""
 
+    TECHNIQUES = ("ATR", "Single-Round_Pass")
+    """A traditional and an LLM technique, so adopted cells on both
+    paths are compared with direct execution."""
+
     def _admit_and_drain(self, config, count):
         """Incarnation one admits jobs into a paused pool, then drains:
         every job must be journaled ``drained``, none executed."""
@@ -532,7 +536,7 @@ class TestDrainResume:
         for spec_id in spec_ids:
             record, frame = first.submit(
                 JobSpec(benchmark="arepair", spec_id=spec_id,
-                        techniques=("ATR",))
+                        techniques=self.TECHNIQUES)
             )
             assert frame["type"] == "ack"
             job_ids.append(record.job_id)
@@ -565,7 +569,9 @@ class TestDrainResume:
         for spec_id in spec_ids:
             result = execute_shard(
                 ShardTask(
-                    spec=first._specs[spec_id], techniques=("ATR",), seed=0
+                    spec=first._specs[spec_id],
+                    techniques=self.TECHNIQUES,
+                    seed=0,
                 )
             )
             reference[spec_id] = {
@@ -614,7 +620,7 @@ class TestDrainResume:
             for spec_id in spec_ids:
                 record, _ = third.submit(
                     JobSpec(benchmark="arepair", spec_id=spec_id,
-                            techniques=("ATR",))
+                            techniques=self.TECHNIQUES)
                 )
                 assert record.state is JobState.DONE
                 assert record.from_store is True
