@@ -34,7 +34,7 @@ from __future__ import annotations
 import hashlib
 import threading
 from contextlib import contextmanager
-from typing import Iterator
+from typing import Callable, Iterator, TypeVar
 
 from repro.alloy.nodes import (
     AssertDecl,
@@ -72,6 +72,7 @@ from repro.alloy.nodes import (
     UnivExpr,
     UnOp,
 )
+from repro.alloy.parser import parse_module
 from repro.alloy.pretty import print_module
 from repro.alloy.resolver import ModuleInfo, resolve_module
 from repro.analysis.cardinality import (
@@ -83,6 +84,8 @@ from repro.analysis.cardinality import (
 )
 
 _STATE = threading.local()
+
+T = TypeVar("T")
 
 TRUE = "⊤"
 FALSE = "⊥"
@@ -115,6 +118,12 @@ def verdict_sharing() -> Iterator[None]:
     instance-producing evidence under the exact printed text (instances
     depend on the encoding, so only syntactic identity may share them).
 
+    The same dictionary carries the shard's other answers that are pure
+    functions of exact texts (see :func:`shard_memo`): the truth's parse
+    and suite enumerations (:mod:`repro.testing.generation`), AUnit
+    verdicts per printed candidate (:class:`repro.testing.aunit.TestSuite`)
+    and REP/TM/SM per final text (:func:`repro.experiments.runner.run_spec`).
+
     The scope is per-shard (one spec), so the cache's lifetime bounds its
     size.  It is thread-local, and a chaos scope uses it like any other
     run.
@@ -125,6 +134,28 @@ def verdict_sharing() -> Iterator[None]:
         yield
     finally:
         _STATE.shared_verdicts = previous
+
+
+def shard_memo(key: tuple, compute: Callable[[], T]) -> T:
+    """``compute()``, answered once per ``key`` inside a sharing scope.
+
+    Outside :func:`verdict_sharing` every call computes.  A ``compute``
+    that raises stores nothing, so the next caller computes again."""
+    cache = shared_verdicts()
+    if cache is None:
+        return compute()
+    try:
+        return cache[key]
+    except KeyError:
+        value = cache[key] = compute()
+        return value
+
+
+def shared_parse(text: str) -> Module:
+    """``text`` parsed once per sharing scope (the shard's ground truth is
+    read by the truth oracle, the suite generators and every cell's REP
+    and SM).  Callers must not mutate the module."""
+    return shard_memo(("parse", text), lambda: parse_module(text))
 
 
 def canonical_key(module: Module, info: ModuleInfo | None = None) -> str | None:

@@ -86,6 +86,14 @@ class Analyzer:
         Lets a caller bound a whole analysis session (many commands, many
         enumerated instances) rather than a single solve."""
 
+    @property
+    def conflict_limit(self) -> int | None:
+        return self._conflict_limit
+
+    @property
+    def budget(self) -> Budget | None:
+        return self._budget
+
     # -- command execution ------------------------------------------------------
 
     def execute_all(self, max_instances: int = 1) -> list[CommandResult]:

@@ -42,11 +42,18 @@ class Instance:
         return Instance(relations=relations)
 
     def canonical_key(self) -> tuple:
-        """A hashable, order-independent key for duplicate detection."""
-        return tuple(
-            (name, tuple(sorted(self.relations[name])))
-            for name in sorted(self.relations)
-        )
+        """A hashable, order-independent key for duplicate detection.
+
+        Computed once per instance: instances are immutable, and tests key
+        verdict caches by them."""
+        key = self.__dict__.get("_canonical_key")
+        if key is None:
+            key = tuple(
+                (name, tuple(sorted(self.relations[name])))
+                for name in sorted(self.relations)
+            )
+            object.__setattr__(self, "_canonical_key", key)
+        return key
 
     def describe(self, info: ModuleInfo | None = None) -> str:
         """A readable multi-line rendering (used in LLM feedback prompts)."""
@@ -63,7 +70,11 @@ class Instance:
         return "\n".join(lines)
 
     def __hash__(self) -> int:  # dataclass(frozen) can't hash the dict field
-        return hash(self.canonical_key())
+        value = self.__dict__.get("_hash")
+        if value is None:
+            value = hash(self.canonical_key())
+            object.__setattr__(self, "_hash", value)
+        return value
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Instance):

@@ -27,6 +27,7 @@ from pathlib import Path
 from typing import Sequence
 
 from repro import obs
+from repro.analysis.canon import shared_verdicts
 from repro.benchmarks.cache import cache_dir, load_benchmark
 from repro.obs.export import write_trace
 from repro.obs.trace import Span
@@ -227,19 +228,47 @@ def run_spec(
     task = RepairTask.from_source(spec.faulty_source)
     result = tool.repair(task)
     final_text = result.final_source(task)
-    outcome = rep_outcome(final_text, spec.truth_source, truth_outcomes)
-    tm = token_match(final_text, spec.truth_source)
-    sm = syntax_match(final_text, spec.truth_source)
+    rep, tm, sm = _scores(final_text, spec.truth_source, truth_outcomes)
     return SpecOutcome(
         spec_id=spec.spec_id,
         technique=technique,
-        rep=outcome.rep,
+        rep=rep,
         tm=tm,
         sm=sm,
         status=result.status.value,
         elapsed=time.perf_counter() - start,
         error_code=result.error_code,
     )
+
+
+def _scores(
+    final_text: str, truth_text: str, truth_outcomes: list[bool] | None
+) -> tuple[int, float, float]:
+    """REP, TM and SM of one final text against the truth.
+
+    Inside a :func:`~repro.analysis.canon.verdict_sharing` scope (one
+    shard) they are computed once per exact final text: tools often hand
+    back the same text, and the scores are pure functions of the two
+    texts.  The key is the exact text, never its canonical form, so REP
+    rests on the from-scratch analyzer alone."""
+    cache = shared_verdicts()
+    key = (
+        "scores",
+        final_text,
+        truth_text,
+        None if truth_outcomes is None else tuple(truth_outcomes),
+    )
+    if cache is not None and key in cache:
+        obs.counter("shard.score_hits").inc()
+        return cache[key]
+    scores = (
+        rep_outcome(final_text, truth_text, truth_outcomes).rep,
+        token_match(final_text, truth_text),
+        syntax_match(final_text, truth_text),
+    )
+    if cache is not None:
+        cache[key] = scores
+    return scores
 
 
 def _crashed_outcome(spec: FaultySpec, technique: str) -> SpecOutcome:

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 from repro.alloy.errors import AlloyError
 from repro.alloy.nodes import Command, Module
 from repro.alloy.parser import parse_module
+from repro.analysis.canon import shard_memo, shared_parse
 from repro.analyzer.analyzer import Analyzer
 
 
@@ -52,16 +53,15 @@ def rep_outcome(
     (the experiment harness computes them once per specification).
     """
     try:
-        truth_module = parse_module(truth_text)
-        truth_analyzer = Analyzer(truth_module)
+        truth = truth_analyzer(truth_text)
     except (AlloyError, RecursionError) as error:
         raise ValueError(f"ground truth does not analyze: {error}") from error
-    commands = truth_analyzer.info.commands
+    commands = truth.info.commands
     if not commands:
         raise ValueError("ground truth has no commands to compare")
 
     if truth_outcomes is None:
-        truth_outcomes = _outcomes(truth_analyzer, commands)
+        truth_outcomes = _outcomes(truth, commands)
         if truth_outcomes is None:
             raise ValueError("ground truth commands failed to execute")
 
@@ -98,10 +98,19 @@ def rep(candidate_text: str, truth_text: str) -> int:
     return rep_outcome(candidate_text, truth_text).rep
 
 
+def truth_analyzer(truth_text: str) -> Analyzer:
+    """The ground truth's analyzer: built once per sharing scope (one
+    shard's truth oracle, suite generators and REP calls read the same
+    spec), and afresh on every call outside one."""
+    return shard_memo(
+        ("truth", truth_text), lambda: Analyzer(shared_parse(truth_text))
+    )
+
+
 def truth_command_outcomes(truth_text: str) -> list[bool]:
     """Cacheable ground-truth command outcomes (for batched REP runs)."""
-    truth_analyzer = Analyzer(parse_module(truth_text))
-    outcomes = _outcomes(truth_analyzer, truth_analyzer.info.commands)
+    truth = truth_analyzer(truth_text)
+    outcomes = _outcomes(truth, truth.info.commands)
     if outcomes is None:
         raise ValueError("ground truth commands failed to execute")
     return outcomes

@@ -33,6 +33,7 @@ from repro.alloy.nodes import (
     UnaryType,
 )
 from repro.alloy.parser import parse_module
+from repro.analysis.canon import shared_parse
 
 
 def subtree_shape(node: Node) -> str:
@@ -96,7 +97,7 @@ def syntax_match(candidate_text: str, reference_text: str) -> float:
     except (AlloyError, RecursionError):
         return 0.0
     try:
-        reference = parse_module(reference_text)
+        reference = shared_parse(reference_text)
     except (AlloyError, RecursionError):
         raise ValueError("reference specification must parse") from None
     return syntax_match_modules(candidate, reference)

@@ -354,6 +354,10 @@ def render_profile(data: TraceData) -> str:
         ("analyzer.instances", "instances enumerated"),
         ("analysis.pruned_typed", "candidates pruned statically"),
         ("analysis.dedup_hits", "oracle verdicts replayed (dedup)"),
+        ("aunit.evaluations", "AUnit test evaluations"),
+        ("shard.aunit_hits", "AUnit verdicts replayed in the shard"),
+        ("shard.suite_hits", "suite enumerations reused in the shard"),
+        ("shard.score_hits", "cell scores reused in the shard"),
         ("analysis.baseline_lint_reuse", "baseline lint memo reuses"),
         ("analysis.lint_findings", "lint findings on LLM proposals"),
         ("llm.requests", "LLM requests"),
@@ -402,6 +406,15 @@ def render_profile(data: TraceData) -> str:
         sections.append(
             f"Semantic dedup: {int(dedup)} of {int(oracle)} oracle "
             f"queries replayed ({100 * dedup / oracle:.1f}% hit rate)"
+        )
+
+    replayed = data.counter_total("shard.aunit_hits")
+    evaluations = data.counter_total("aunit.evaluations")
+    if replayed and evaluations:
+        sections.append("")
+        sections.append(
+            f"Shard reuse: {int(replayed)} of {int(evaluations)} AUnit "
+            f"evaluations replayed ({100 * replayed / evaluations:.1f}%)"
         )
 
     if data.gauges:

@@ -44,9 +44,12 @@ class ARepair(RepairTool):
         module = task.module
         info = task.info
         explored = 0
-        best_score = self._suite.score(info)
+        # Each module's printed text keys the shard-shared AUnit verdicts
+        # (TestSuite.verdicts) as well as the visited set.
+        text = print_module(module)
+        best_score = self._suite.score(info, text)
         plateau_budget = self._config.plateau_moves
-        visited = {print_module(module)}
+        visited = {text}
 
         for iteration in range(self._config.max_iterations):
             if best_score >= 1.0:
@@ -54,13 +57,14 @@ class ARepair(RepairTool):
                     status=RepairStatus.FIXED,
                     technique=self.name,
                     candidate=module,
-                    candidate_source=print_module(module),
+                    candidate_source=text,
                     iterations=iteration,
                     candidates_explored=explored,
                     detail="all tests pass",
                 )
             discriminators = [
-                Discriminator.from_test(test) for test in self._suite.failing(info)
+                Discriminator.from_test(test)
+                for test in self._suite.failing(info, text)
             ]
             locations = localize(
                 module, info, discriminators, max_locations=self._config.max_locations
@@ -80,19 +84,19 @@ class ARepair(RepairTool):
                     explored += 1
                     if count > self._config.max_mutants_per_iteration:
                         break
-                    text = print_module(mutant.module)
-                    if text in visited:
+                    mutant_text = print_module(mutant.module)
+                    if mutant_text in visited:
                         continue
                     try:
                         mutant_info = resolve_module(mutant.module)
                     except Exception:  # noqa: BLE001 - any bad mutant is skipped
                         continue
-                    score = self._suite.score(mutant_info)
+                    score = self._suite.score(mutant_info, mutant_text)
                     if score > best_mutant_score:
-                        best_mutant = (mutant, mutant_info, score)
+                        best_mutant = (mutant, mutant_info, score, mutant_text)
                         best_mutant_score = score
                     elif score == best_score and plateau_mutant is None:
-                        plateau_mutant = (mutant, mutant_info, score)
+                        plateau_mutant = (mutant, mutant_info, score, mutant_text)
                 if count > self._config.max_mutants_per_iteration:
                     break
             if best_mutant is None:
@@ -103,8 +107,8 @@ class ARepair(RepairTool):
                     module, locations, best_score, visited
                 )
                 if best_mutant is not None:
-                    explored += best_mutant[3]
-                    best_mutant = best_mutant[:3]
+                    explored += best_mutant[4]
+                    best_mutant = best_mutant[:4]
             if best_mutant is None and plateau_mutant is not None and plateau_budget:
                 # Sideways move: no single mutation improves, but multi-edit
                 # faults often require passing through an equal-score state.
@@ -116,21 +120,21 @@ class ARepair(RepairTool):
                     status=RepairStatus.NOT_FIXED,
                     technique=self.name,
                     candidate=module if iteration > 0 else None,
-                    candidate_source=print_module(module) if iteration > 0 else None,
+                    candidate_source=text if iteration > 0 else None,
                     iterations=iteration + 1,
                     candidates_explored=explored,
                     detail="no improving mutation found",
                 )
-            mutant, info, best_score = best_mutant
+            mutant, info, best_score, text = best_mutant
             module = mutant.module
-            visited.add(print_module(module))
+            visited.add(text)
 
         if best_score >= 1.0:
             return RepairResult(
                 status=RepairStatus.FIXED,
                 technique=self.name,
                 candidate=module,
-                candidate_source=print_module(module),
+                candidate_source=text,
                 iterations=self._config.max_iterations,
                 candidates_explored=explored,
                 detail="all tests pass",
@@ -139,7 +143,7 @@ class ARepair(RepairTool):
             status=RepairStatus.NOT_FIXED,
             technique=self.name,
             candidate=module,
-            candidate_source=print_module(module),
+            candidate_source=text,
             iterations=self._config.max_iterations,
             candidates_explored=explored,
             detail=f"budget exhausted at test score {best_score:.2f}",
@@ -148,7 +152,7 @@ class ARepair(RepairTool):
     def _depth_two_rescue(self, module, locations, best_score, visited):
         """Search mutation pairs at the top suspicious locations for a
         strictly improving candidate.  Returns
-        ``(mutant, info, score, explored)`` or ``None``."""
+        ``(mutant, info, score, text, explored)`` or ``None``."""
         from repro.repair.mutation import higher_order_mutants
 
         paths = [loc.path for loc in locations[:2]]
@@ -175,7 +179,7 @@ class ARepair(RepairTool):
                 mutant_info = resolve_module(mutant.module)
             except Exception:  # noqa: BLE001
                 continue
-            score = self._suite.score(mutant_info)
+            score = self._suite.score(mutant_info, text)
             if score > best_score:
-                return (mutant, mutant_info, score, explored)
+                return (mutant, mutant_info, score, text, explored)
         return None

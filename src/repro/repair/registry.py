@@ -26,11 +26,11 @@ import hashlib
 from dataclasses import dataclass
 from typing import Callable
 
-from repro.analyzer.analyzer import Analyzer
 from repro.benchmarks.faults import FaultySpec
 from repro.llm.client import RetryingClient
 from repro.llm.mock_gpt import GPT35_PROFILE, GPT4_PROFILE, MockGPT
 from repro.llm.prompts import FeedbackLevel, PromptSetting
+from repro.metrics.rep import truth_analyzer
 from repro.repair.arepair import ARepair
 from repro.repair.atr import Atr
 from repro.repair.base import RepairTool
@@ -140,7 +140,10 @@ def _icebar_suite_size(spec: FaultySpec) -> int:
 def _make_arepair(spec: FaultySpec, seed: int) -> RepairTool:
     size = _arepair_suite_size(spec)
     suite = generate_suite(
-        Analyzer(spec.truth_source), positives=size, negatives=size, seed=seed
+        truth_analyzer(spec.truth_source),
+        positives=size,
+        negatives=size,
+        seed=seed,
     )
     return ARepair(suite)
 
@@ -148,7 +151,10 @@ def _make_arepair(spec: FaultySpec, seed: int) -> RepairTool:
 def _make_icebar(spec: FaultySpec, seed: int) -> RepairTool:
     size = _icebar_suite_size(spec)
     suite = generate_suite(
-        Analyzer(spec.truth_source), positives=size, negatives=size, seed=seed
+        truth_analyzer(spec.truth_source),
+        positives=size,
+        negatives=size,
+        seed=seed,
     )
     return Icebar(suite)
 

@@ -79,7 +79,7 @@ from repro.service.ledger import ClusterFold, JobLedger
 from repro.service.loadgen import run_load
 from repro.service.protocol import JobSpec, ServiceError
 
-SERVICE_CHAOS_SCHEMA = "repro-service-chaos/3"
+SERVICE_CHAOS_SCHEMA = "repro-service-chaos/4"
 """Stamped into every service chaos report; bump on any shape change."""
 
 AVAILABILITY_SITES: dict[str, SiteConfig] = {
@@ -339,16 +339,23 @@ def backpressure_drill(seed: int, scale: float) -> DrillResult:
                 tenant=tenant,
             )
 
+        submissions = []
+
+        def submit(tenant: str, watch: bool = False):
+            outcome = client.submit(job(tenant), watch=watch)
+            submissions.append(outcome)
+            return outcome
+
         try:
             service.pool.pause()
             for index in range(2):
-                outcome = client.submit(job("bulk"), watch=False)
+                outcome = submit("bulk")
                 if not outcome.accepted:
                     drill.violations.append(
                         f"bulk submission #{index} rejected with tokens and "
                         f"queue space available: {outcome.rejections}"
                     )
-            third = client.submit(job("bulk"), watch=False)
+            third = submit("bulk")
             if third.accepted:
                 drill.violations.append(
                     "tenant with an empty bucket was admitted"
@@ -357,13 +364,13 @@ def backpressure_drill(seed: int, scale: float) -> DrillResult:
                 drill.violations.append(
                     f"expected rate_limited, got {third.rejections[0]}"
                 )
-            other = client.submit(job("other"), watch=False)
+            other = submit("other")
             if not other.accepted:
                 drill.violations.append(
                     f"fresh tenant rejected below the queue bound: "
                     f"{other.rejections}"
                 )
-            full = client.submit(job("other"), watch=False)
+            full = submit("other")
             if full.accepted:
                 drill.violations.append("submission above max_queue admitted")
             elif full.rejections[0].get("reason") != "queue_full":
@@ -401,7 +408,7 @@ def backpressure_drill(seed: int, scale: float) -> DrillResult:
                 drill.violations.append(
                     f"admitted jobs did not all complete: {states}"
                 )
-            after = client.submit(job("other"), watch=True)
+            after = submit("other", watch=True)
             if not after.accepted or after.state != "done":
                 drill.violations.append(
                     "post-resume submission from the preserved-token tenant "
@@ -409,11 +416,16 @@ def backpressure_drill(seed: int, scale: float) -> DrillResult:
                 )
         finally:
             handle.drain()
+    rejected: dict[str, int] = {}
+    for outcome in submissions:
+        for rejection in outcome.rejections:
+            reason = str(rejection.get("reason"))
+            rejected[reason] = rejected.get(reason, 0) + 1
     drill.detail = {
-        "max_queue": 3,
-        "bucket_capacity": 2,
-        "admitted": 4,
-        "rejected": {"queue_full": 1, "rate_limited": 1},
+        "max_queue": config.max_queue,
+        "bucket_capacity": config.bucket_capacity,
+        "admitted": sum(outcome.accepted for outcome in submissions),
+        "rejected": dict(sorted(rejected.items())),
     }
     return drill
 
@@ -475,6 +487,7 @@ def breaker_drill(seed: int, requested: set[str], scale: float) -> DrillResult:
                         f"expected error/llm.transient cell on {spec_id}, "
                         f"got {cell.get('status')}/{cell.get('error_code')}"
                     )
+            trip_failures = service.breakers["llm"].failures
             if service.breakers["llm"].state != "open":
                 drill.violations.append(
                     "LLM breaker did not trip after two exhausted-retry "
@@ -525,7 +538,7 @@ def breaker_drill(seed: int, requested: set[str], scale: float) -> DrillResult:
         finally:
             handle.drain()
 
-    drill.detail = {"trip_after_failures": 2}
+    drill.detail = {"trip_after_failures": trip_failures}
     return drill
 
 

@@ -13,8 +13,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro import obs
 from repro.alloy.errors import AlloyError
 from repro.alloy.resolver import ModuleInfo
+from repro.analysis.canon import shared_verdicts
 from repro.analyzer.evaluator import Evaluator
 from repro.analyzer.instance import Instance
 
@@ -61,20 +63,53 @@ class TestSuite:
     def __iter__(self):
         return iter(self.tests)
 
-    def passing(self, info: ModuleInfo) -> list[AUnitTest]:
-        return [test for test in self.tests if test.passes(info)]
+    def verdicts(self, info: ModuleInfo, text: str | None = None) -> list[bool]:
+        """Whether each test passes against the module ``info`` resolves.
 
-    def failing(self, info: ModuleInfo) -> list[AUnitTest]:
-        return [test for test in self.tests if not test.passes(info)]
+        ``text`` is that module's printed source.  Given it, inside a
+        :func:`~repro.analysis.canon.verdict_sharing` scope each verdict
+        is computed once per (text, instance, expectation, target) and
+        replayed after that: ARepair re-scores its current module every
+        iteration, and every ICEBAR round reruns ARepair over the same
+        candidates and tests."""
+        if obs.get_metrics().enabled:
+            obs.counter("aunit.evaluations").inc(len(self.tests))
+        cache = shared_verdicts() if text is not None else None
+        if cache is None:
+            return [test.passes(info) for test in self.tests]
+        known = cache.setdefault(("aunit", text), {})
+        results = []
+        hits = 0
+        for test in self.tests:
+            key = (test.instance, test.expect, test.target)
+            verdict = known.get(key)
+            if verdict is None:
+                verdict = known[key] = test.passes(info)
+            else:
+                hits += 1
+            results.append(verdict)
+        if hits:
+            obs.counter("shard.aunit_hits").inc(hits)
+        return results
+
+    def passing(self, info: ModuleInfo) -> list[AUnitTest]:
+        return [test for test, ok in zip(self.tests, self.verdicts(info)) if ok]
+
+    def failing(self, info: ModuleInfo, text: str | None = None) -> list[AUnitTest]:
+        return [
+            test
+            for test, ok in zip(self.tests, self.verdicts(info, text))
+            if not ok
+        ]
 
     def all_pass(self, info: ModuleInfo) -> bool:
         return not self.failing(info)
 
-    def score(self, info: ModuleInfo) -> float:
+    def score(self, info: ModuleInfo, text: str | None = None) -> float:
         """Fraction of tests passing (1.0 for an empty suite)."""
         if not self.tests:
             return 1.0
-        return len(self.passing(info)) / len(self.tests)
+        return sum(self.verdicts(info, text)) / len(self.tests)
 
     def add(self, test: AUnitTest) -> None:
         self.tests.append(test)

@@ -12,8 +12,12 @@ from __future__ import annotations
 
 import dataclasses
 import random
+from typing import Callable, Iterator
 
-from repro.alloy.nodes import Block, Command, FactDecl, Not
+from repro import obs
+from repro.alloy.nodes import Block, Command, FactDecl, Module, Not
+from repro.alloy.pretty import print_module
+from repro.analysis.canon import shared_verdicts
 from repro.analyzer.analyzer import Analyzer
 from repro.analyzer.instance import Instance
 from repro.testing.aunit import FACTS_TARGET, AUnitTest, TestSuite
@@ -78,11 +82,13 @@ def generate_suite(
 def _sample_instances(
     analyzer: Analyzer, command: Command, limit: int, rng: random.Random
 ) -> list[Instance]:
-    instances: list[Instance] = []
-    for instance in analyzer.solutions(command):
-        instances.append(instance)
-        if len(instances) >= limit:
-            break
+    instances = _enumerate(
+        ("pos", command.default_scope, analyzer.conflict_limit),
+        analyzer.module,
+        lambda: analyzer.solutions(command),
+        limit,
+        shareable=analyzer.budget is None,
+    )
     rng.shuffle(instances)
     return instances
 
@@ -97,15 +103,73 @@ def _sample_negative_instances(
     asserts them — so we solve on a shadow module without facts.
     """
     module = analyzer.module
-    shadow = Analyzer(
-        dataclasses.replace(
-            module,
-            paragraphs=[
-                p for p in module.paragraphs if not isinstance(p, FactDecl)
-            ],
+
+    def solutions() -> Iterator[Instance]:
+        shadow = Analyzer(
+            dataclasses.replace(
+                module,
+                paragraphs=[
+                    p for p in module.paragraphs if not isinstance(p, FactDecl)
+                ],
+            )
         )
-    )
-    return _sample_instances(shadow, command, limit, rng)
+        return shadow.solutions(command)
+
+    instances = _enumerate(("neg", command.default_scope), module, solutions, limit)
+    rng.shuffle(instances)
+    return instances
+
+
+def _enumerate(
+    kind: tuple,
+    module: Module,
+    solutions: Callable[[], Iterator[Instance]],
+    limit: int,
+    shareable: bool = True,
+) -> list[Instance]:
+    """The first ``limit`` instances of ``solutions()`` (at least one when
+    any exists: the draw stops only after reaching the limit).
+
+    Inside a :func:`~repro.analysis.canon.verdict_sharing` scope one
+    enumeration per (``kind``, printed ``module``) is drawn lazily and
+    served by prefix: ARepair's suite takes the first instances and
+    ICEBAR's larger suite resumes the same solver where ARepair stopped,
+    so each receives exactly what a fresh enumeration returns.  A draw
+    that raises is dropped, so the next caller starts over, as it would
+    without the scope."""
+    cache = shared_verdicts() if shareable else None
+    if cache is None:
+        return _Enumeration(solutions()).take(limit)
+    key = ("suite", *kind, print_module(module))
+    enumeration = cache.get(key)
+    if enumeration is None:
+        enumeration = cache[key] = _Enumeration(solutions())
+    else:
+        obs.counter("shard.suite_hits").inc()
+    try:
+        return enumeration.take(limit)
+    except BaseException:
+        cache.pop(key, None)
+        raise
+
+
+class _Enumeration:
+    """A suspended enumeration and the instances it has yielded so far."""
+
+    def __init__(self, solutions: Iterator[Instance]) -> None:
+        self._solutions = solutions
+        self._drawn: list[Instance] = []
+        self._exhausted = False
+
+    def take(self, limit: int) -> list[Instance]:
+        limit = max(limit, 1)
+        while not self._exhausted and len(self._drawn) < limit:
+            instance = next(self._solutions, None)
+            if instance is None:
+                self._exhausted = True
+            else:
+                self._drawn.append(instance)
+        return self._drawn[:limit]
 
 
 def counterexample_test(instance: Instance, name: str) -> AUnitTest:

@@ -199,7 +199,7 @@ class TestSuiteScaffold:
         suites = (ENGINE_SUITE, SERVICE_SUITE)
         assert [s.schema for s in suites] == [
             "repro-chaos/2",
-            "repro-service-chaos/3",
+            "repro-service-chaos/4",
         ]
         assert [s.report_file for s in suites] == [
             "chaos-report.json",

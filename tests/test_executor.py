@@ -97,21 +97,24 @@ class TestExecutorEquivalence:
     def test_thread_pool_matches_serial(self):
         # The service daemon runs execute_shard on worker threads, so
         # shards racing on one process must still reproduce the matrix.
-        serial = run_matrix(self._config(techniques=("ATR",)))
-        shards = [
-            ShardTask(spec=spec, techniques=("ATR",), seed=0)
-            for spec in serial.specs
-        ]
-        with ThreadPoolExecutor(max_workers=2) as pool:
-            results = list(pool.map(execute_shard, shards))
-        threaded = {
-            result.spec_id: {
-                technique: (o.rep, o.tm, o.sm, o.status)
-                for technique, o in result.outcomes.items()
+        # ARepair and ICEBAR share suites, AUnit verdicts and scores within
+        # a shard: the thread-local scope must keep concurrent shards apart.
+        for techniques in (("ATR",), ("ARepair", "ICEBAR")):
+            serial = run_matrix(self._config(techniques=techniques))
+            shards = [
+                ShardTask(spec=spec, techniques=techniques, seed=0)
+                for spec in serial.specs
+            ]
+            with ThreadPoolExecutor(max_workers=2) as pool:
+                results = list(pool.map(execute_shard, shards))
+            threaded = {
+                result.spec_id: {
+                    technique: (o.rep, o.tm, o.sm, o.status)
+                    for technique, o in result.outcomes.items()
+                }
+                for result in results
             }
-            for result in results
-        }
-        assert threaded == payload(serial)
+            assert threaded == payload(serial), techniques
 
     def test_parallel_run_is_served_from_serial_cache(self, monkeypatch):
         import repro.experiments.runner as runner_module
