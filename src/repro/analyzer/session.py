@@ -29,9 +29,11 @@ field-multiplicity mutants) cannot share the structural encoding; for those
 ``evaluate`` returns ``None`` and the caller falls back to the from-scratch
 path.  The session answers *verdict-only* queries (satisfiability per
 command); anything that needs instances keeps using the Analyzer.  Every
-verdict-only oracle query goes through a session; the tests pin that repair
-outcomes are bit-identical to an arm that solves every candidate from
-scratch.
+verdict-only query goes through a session: the repair tools' oracle
+queries (:class:`~repro.repair.base.PropertyOracle`) and the simulated
+LLM's reduced-scope self-checks (one session per completion, in
+:mod:`repro.llm.mock_gpt`).  The tests pin that repair outcomes are
+bit-identical to an arm that solves every candidate from scratch.
 """
 
 from __future__ import annotations

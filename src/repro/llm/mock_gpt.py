@@ -30,8 +30,10 @@ from repro.alloy.parser import parse_module
 from repro.alloy.pretty import print_module
 from repro.alloy.resolver import resolve_module
 from repro.alloy.walk import get_at
+from repro.analyzer.analyzer import Analyzer
 from repro.analyzer.evaluator import Evaluator
 from repro.analyzer.instance import Instance
+from repro.analyzer.session import OracleSession
 from repro.llm.client import Conversation, UsageStats
 from repro.repair.mutation import Mutant, Mutator, mutation_points
 from repro.repair.templates import strengthening_candidates, template_candidates
@@ -289,7 +291,9 @@ class MockGPT:
             ranked = self._rank_proposals(
                 module, info, proposals, hints, feedback_instances, rng
             )
-            chosen = self._self_check(ranked, hints, feedback_instances, rng)
+            chosen = self._self_check(
+                module, ranked, hints, feedback_instances, rng
+            )
         else:
             chosen = rng.choice(proposals)
 
@@ -339,8 +343,6 @@ class MockGPT:
 
         With an ``assertion`` name (the Pass hint) only that check is probed;
         otherwise every check command is tried in order."""
-        from repro.analyzer.analyzer import Analyzer
-
         try:
             analyzer = Analyzer(module)
         except (AlloyError, RecursionError):
@@ -507,6 +509,7 @@ class MockGPT:
 
     def _self_check(
         self,
+        module: Module,
         ranked: list[Mutant],
         hints: dict[str, str],
         feedback_instances: list[Instance],
@@ -519,12 +522,20 @@ class MockGPT:
 
         When no single edit verifies, the model "keeps thinking": it extends
         its best candidates with a second edit (bounded by ``deep_roots`` ×
-        ``deep_leaves``), which is how multi-edit faults get repaired."""
+        ``deep_leaves``), which is how multi-edit faults get repaired.
+
+        Every candidate is an edit of ``module``, so one completion's checks
+        share an incremental :class:`~repro.analyzer.session.OracleSession`
+        over the reduced base module: each check re-encodes only the edited
+        paragraph.  Candidates the session cannot take (diverging signature
+        declarations) and session failures use a from-scratch Analyzer,
+        which reaches the same verdicts."""
         budget = self.profile.self_check_candidates
         if budget <= 0:
             return ranked[0]
+        checker = _SelfCheck(module, self.profile.self_check_scope)
         for mutant in ranked[:budget]:
-            if self._mentally_verifies(mutant.module):
+            if checker.verifies(mutant.module):
                 return mutant
         for root in ranked[: self.profile.deep_roots]:
             try:
@@ -538,53 +549,13 @@ class MockGPT:
                 root.module, root_info, followups, hints, feedback_instances, rng
             )
             for leaf in ranked_followups[: self.profile.deep_leaves]:
-                if self._mentally_verifies(leaf.module):
+                if checker.verifies(leaf.module):
                     return Mutant(
                         module=leaf.module,
                         description=f"{root.description}; {leaf.description}",
                         path=root.path,
                     )
         return ranked[0]
-
-    def _mentally_verifies(self, module: Module) -> bool:
-        from repro.analyzer.analyzer import Analyzer
-
-        scope = self.profile.self_check_scope
-        # Only the commands change; every other paragraph is shared, since
-        # the analyzer never mutates its module.
-        reduced = dataclasses.replace(
-            module,
-            paragraphs=[
-                dataclasses.replace(
-                    p,
-                    default_scope=min(p.default_scope, scope),
-                    sig_scopes=[
-                        dataclasses.replace(s, bound=min(s.bound, scope))
-                        for s in p.sig_scopes
-                    ],
-                )
-                if isinstance(p, Command)
-                else p
-                for p in module.paragraphs
-            ],
-        )
-        try:
-            analyzer = Analyzer(reduced)
-        except (AlloyError, RecursionError):
-            return False
-        for command in analyzer.info.commands:
-            expected = (
-                command.expect == 1
-                if command.expect is not None
-                else command.kind == "run"
-            )
-            try:
-                result = analyzer.run_command(command)
-            except (AlloyError, RecursionError):
-                return False
-            if result.sat != expected:
-                return False
-        return True
 
     @staticmethod
     def _paragraph_relations(module: Module) -> dict[str, set[str]]:
@@ -676,3 +647,85 @@ class MockGPT:
             else ""
         )
         return f"{prose}\n```{fence_tag}\n{text}```{trailer}"
+
+
+def _reduce_scopes(module: Module, scope: int) -> Module:
+    """``module`` with every command's scopes capped at ``scope``.
+
+    Only the commands change; every other paragraph is shared by identity
+    (the analyzer never mutates its module, and the incremental session
+    recognizes shared paragraphs as cached fragments)."""
+    return dataclasses.replace(
+        module,
+        paragraphs=[
+            dataclasses.replace(
+                p,
+                default_scope=min(p.default_scope, scope),
+                sig_scopes=[
+                    dataclasses.replace(s, bound=min(s.bound, scope))
+                    for s in p.sig_scopes
+                ],
+            )
+            if isinstance(p, Command)
+            else p
+            for p in module.paragraphs
+        ],
+    )
+
+
+def _expected_sat(command: Command) -> bool:
+    if command.expect is not None:
+        return command.expect == 1
+    return command.kind == "run"
+
+
+def _scratch_verifies(reduced: Module) -> bool:
+    """Whether every command of ``reduced`` meets its expectation, solved
+    from scratch and stopping at the first that does not."""
+    try:
+        analyzer = Analyzer(reduced)
+    except (AlloyError, RecursionError):
+        return False
+    for command in analyzer.info.commands:
+        try:
+            result = analyzer.run_command(command)
+        except (AlloyError, RecursionError):
+            return False
+        if result.sat != _expected_sat(command):
+            return False
+    return True
+
+
+class _SelfCheck:
+    """The self-checks of one completion, answered by one session.
+
+    Candidates are edits of the base module and never touch its commands,
+    so the session's commands (the reduced base's) are the candidate's.
+    A candidate the session cannot take, and any check after the session
+    machinery failed, is solved from scratch; a session failure never
+    changes a verdict."""
+
+    def __init__(self, base: Module, scope: int) -> None:
+        self._scope = scope
+        self._session: OracleSession | None
+        try:
+            self._session = OracleSession(
+                resolve_module(_reduce_scopes(base, scope))
+            )
+        except Exception:
+            self._session = None
+
+    def verifies(self, candidate: Module) -> bool:
+        reduced = _reduce_scopes(candidate, self._scope)
+        outcome = None
+        if self._session is not None:
+            try:
+                outcome = self._session.evaluate(reduced)
+            except Exception:
+                self._session = None
+        if outcome is None:
+            return _scratch_verifies(reduced)
+        results, completed = outcome
+        return completed and all(
+            result.sat == _expected_sat(result.command) for result in results
+        )

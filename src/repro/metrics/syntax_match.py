@@ -33,16 +33,12 @@ from repro.alloy.nodes import (
     UnaryType,
 )
 from repro.alloy.parser import parse_module
-from repro.analysis.canon import shared_parse
+from repro.analysis.canon import shard_memo, shared_parse
 
 
-def subtree_shape(node: Node) -> str:
-    """A canonical serialization of the subtree rooted at ``node``.
-
-    The shape captures node kind, the discriminating attributes the Alloy
-    Analyzer cares about (operators, quantifiers, names, multiplicities), and
-    the shapes of all children — but no positions or formatting.
-    """
+def _label(node: Node) -> str:
+    """The node kind plus the discriminating attributes the Alloy Analyzer
+    cares about (operators, quantifiers, names, multiplicities)."""
     label = type(node).__name__
     if isinstance(node, NameExpr):
         label += f":{node.name}"
@@ -62,13 +58,34 @@ def subtree_shape(node: Node) -> str:
         label += ":" + ",".join(node.names)
     elif hasattr(node, "name") and isinstance(getattr(node, "name"), str):
         label += f":{getattr(node, 'name')}"
-    children = ",".join(subtree_shape(child) for child in node.children())
-    return f"{label}({children})"
+    return label
+
+
+def _shape(node: Node, seen: Counter | None) -> str:
+    """Bottom-up serialization: each child's shape is built once and reused
+    by its parent; with ``seen``, every subtree's shape is also counted."""
+    children = ",".join(_shape(child, seen) for child in node.children())
+    shape = f"{_label(node)}({children})"
+    if seen is not None:
+        seen[shape] += 1
+    return shape
+
+
+def subtree_shape(node: Node) -> str:
+    """A canonical serialization of the subtree rooted at ``node``.
+
+    The shape captures the node's label and the shapes of all children —
+    but no positions or formatting.
+    """
+    return _shape(node, None)
 
 
 def subtree_multiset(module: Module) -> Counter:
-    """Multiset of all subtree shapes in a module's AST."""
-    return Counter(subtree_shape(node) for node in module.walk())
+    """Multiset of all subtree shapes in a module's AST, built in one
+    bottom-up pass."""
+    shapes: Counter = Counter()
+    _shape(module, shapes)
+    return shapes
 
 
 def kernel(a: Counter, b: Counter) -> int:
@@ -78,26 +95,40 @@ def kernel(a: Counter, b: Counter) -> int:
     return sum(count * b[shape] for shape, count in a.items())
 
 
-def syntax_match_modules(candidate: Module, reference: Module) -> float:
-    """Normalized subtree-kernel similarity of two parsed modules."""
+def _reference_side(reference: Module) -> tuple[Counter, int]:
+    shapes = subtree_multiset(reference)
+    return shapes, kernel(shapes, shapes)
+
+
+def _normalized(candidate: Module, reference: tuple[Counter, int]) -> float:
+    reference_shapes, self_reference = reference
     candidate_shapes = subtree_multiset(candidate)
-    reference_shapes = subtree_multiset(reference)
     shared = kernel(candidate_shapes, reference_shapes)
     if shared == 0:
         return 0.0
     self_candidate = kernel(candidate_shapes, candidate_shapes)
-    self_reference = kernel(reference_shapes, reference_shapes)
     return shared / math.sqrt(self_candidate * self_reference)
 
 
+def syntax_match_modules(candidate: Module, reference: Module) -> float:
+    """Normalized subtree-kernel similarity of two parsed modules."""
+    return _normalized(candidate, _reference_side(reference))
+
+
 def syntax_match(candidate_text: str, reference_text: str) -> float:
-    """The study's SM metric; 0.0 when the candidate does not parse."""
+    """The study's SM metric; 0.0 when the candidate does not parse.
+
+    The reference's shapes and self-kernel are computed once per sharing
+    scope (within a shard the reference is always the truth)."""
     try:
         candidate = parse_module(candidate_text)
     except (AlloyError, RecursionError):
         return 0.0
     try:
-        reference = shared_parse(reference_text)
+        reference = shard_memo(
+            ("sm-shapes", reference_text),
+            lambda: _reference_side(shared_parse(reference_text)),
+        )
     except (AlloyError, RecursionError):
         raise ValueError("reference specification must parse") from None
-    return syntax_match_modules(candidate, reference)
+    return _normalized(candidate, reference)

@@ -346,6 +346,8 @@ def render_profile(data: TraceData) -> str:
         ("sat.learned_clauses", "learned clauses"),
         ("sat.restarts", "restarts"),
         ("sat.session.reused_clauses", "session clauses reused"),
+        # Every session solve: the repair tools' oracle queries and the
+        # simulated LLM's self-checks.
         ("oracle.session.checks", "oracle session checks"),
         ("oracle.session.fragment_hits", "oracle fragment cache hits"),
         ("oracle.session.fragment_misses", "oracle fragment cache misses"),

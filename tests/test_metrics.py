@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from repro.metrics.bleu import modified_precision, sentence_bleu, token_match, tokenize
 from repro.metrics.pearson import correlation_matrix, pearson
 from repro.metrics.rep import rep, rep_outcome, truth_command_outcomes
-from repro.metrics.syntax_match import subtree_multiset, syntax_match
+from repro.metrics.syntax_match import subtree_multiset, subtree_shape, syntax_match
 
 TRUTH = """
 sig Node { next: lone Node }
@@ -92,6 +92,44 @@ class TestSyntaxMatch:
 
         counts = subtree_multiset(parse_module("sig A {}\nsig B {}"))
         assert sum(counts.values()) >= 3
+
+    def test_shapes_are_pinned_and_counted_per_node(self):
+        from collections import Counter
+
+        from repro.alloy.parser import parse_module
+
+        module = parse_module("sig A { f: lone A }\nfact { all a: A | a not in a.^f }")
+        assert subtree_shape(module) == (
+            "Module(SigDecl:A(FieldDecl:f(UnaryType:lone(NameExpr:A()))),"
+            "FactDecl(Block(Quantified:all(Decl(NameExpr:A()),Not(Compare:in("
+            "NameExpr:a(),BinaryExpr:.(NameExpr:a(),UnaryExpr:^(NameExpr:f()))"
+            "))))))"
+        )
+        for text in (TRUTH, FAULTY):
+            module = parse_module(text)
+            assert subtree_multiset(module) == Counter(
+                subtree_shape(node) for node in module.walk()
+            )
+
+    def test_reference_side_computed_once_per_sharing_scope(self, monkeypatch):
+        import importlib
+
+        from repro.analysis.canon import verdict_sharing
+
+        module = importlib.import_module("repro.metrics.syntax_match")
+        unscoped = [syntax_match(FAULTY, TRUTH), syntax_match(TRUTH, TRUTH)]
+        calls = []
+        reference_side = module._reference_side
+
+        def counting(reference):
+            calls.append(reference)
+            return reference_side(reference)
+
+        monkeypatch.setattr(module, "_reference_side", counting)
+        with verdict_sharing():
+            scoped = [syntax_match(FAULTY, TRUTH), syntax_match(TRUTH, TRUTH)]
+        assert scoped == unscoped
+        assert len(calls) == 1
 
     def test_more_similar_scores_higher(self):
         barely_changed = TRUTH.replace("some Node", "no Node")

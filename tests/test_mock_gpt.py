@@ -11,6 +11,9 @@ from repro.llm.mock_gpt import (
     GPT4_PROFILE,
     CapabilityProfile,
     MockGPT,
+    _reduce_scopes,
+    _scratch_verifies,
+    _SelfCheck,
 )
 from repro.llm.prompts import (
     PromptSetting,
@@ -166,8 +169,8 @@ class TestHintParsing:
 
 
 class TestSelfCheckLeavesTheCandidateAlone:
-    """The self-check lowers command scopes on its own copy: the caller's
-    module must come back unchanged."""
+    """The self-check lowers command scopes on its own copy: neither the
+    base module its session is built over nor the candidate may change."""
 
     SPEC = """
 sig A { f: set A }
@@ -177,18 +180,24 @@ run Grow for 5 but 4 A expect 1
 check { no iden & f } for 6 expect 0
 """
 
-    def test_mentally_verifies_keeps_command_scopes(self):
-        module = parse_module(self.SPEC)
-        before = print_module(module)
-        scopes = [
+    @staticmethod
+    def snapshot(module):
+        return print_module(module), [
             (c.default_scope, [(s.sig, s.bound) for s in c.sig_scopes])
             for c in module.commands
         ]
-        gpt = MockGPT(seed=0)
-        assert gpt.profile.self_check_scope < 4
-        gpt._mentally_verifies(module)
-        assert print_module(module) == before
-        assert [
-            (c.default_scope, [(s.sig, s.bound) for s in c.sig_scopes])
-            for c in module.commands
-        ] == scopes
+
+    def test_mentally_verifies_keeps_command_scopes(self):
+        base = parse_module(self.SPEC)
+        candidate = parse_module(self.SPEC.replace("a.^f", "a.f"))
+        field_mutant = parse_module(self.SPEC.replace("set A", "lone A"))
+        before = [self.snapshot(m) for m in (base, candidate, field_mutant)]
+        scope = MockGPT(seed=0).profile.self_check_scope
+        assert scope < 4
+        checker = _SelfCheck(base, scope)
+        # The session path, then the fallback for diverging signatures.
+        for module in (base, candidate, field_mutant):
+            assert checker.verifies(module) == _scratch_verifies(
+                _reduce_scopes(module, scope)
+            )
+        assert [self.snapshot(m) for m in (base, candidate, field_mutant)] == before
